@@ -9,9 +9,9 @@ configurations over the same OpenMP tuning dataset:
   scatters, and block-diagonal batches rebuilt + frozen modalities
   re-encoded for every minibatch of every epoch.
 * ``naive`` — the new engine with every fast-path switch off (float64,
-  ``np.add.at``, no batch/frozen caching): isolates how much comes from the
-  engine itself (in-place grads, iterative backward, fused GRU) vs the
-  caching/layout/dtype switches.
+  no batch/frozen caching, eager): isolates how much comes from the engine
+  itself (in-place grads, iterative backward, fused GRU, sorted-segment
+  kernels) vs the caching/dtype switches.
 * ``fast``  — the eager fast path: float32, sorted-segment (``reduceat``)
   message passing over cached CSR edge layouts, cached block-diagonal
   batches and precomputed frozen-modality features, tape replay off.
@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.mga import MGAModel
 from repro.datasets.openmp import OpenMPDatasetBuilder
 from repro.kernels import registry
-from repro.nn import TapeRunner, runtime as nn_runtime, use_fast_segment_ops
+from repro.nn import TapeRunner, runtime as nn_runtime
 from repro.simulator.microarch import SKYLAKE_4114
 from repro.tuners.space import thread_search_space
 
@@ -75,7 +75,7 @@ def _seed_epoch_seconds(data, epochs: int, repeats: int) -> float:
     return timing["best_s"] / epochs
 
 
-def _epoch_seconds(model: MGAModel, data, epochs: int, fast_ops: bool,
+def _epoch_seconds(model: MGAModel, data, epochs: int,
                    cache_batches: bool, precompute_frozen: bool,
                    repeats: int) -> float:
     _, graphs, vectors, extra, labels = data
@@ -87,8 +87,7 @@ def _epoch_seconds(model: MGAModel, data, epochs: int, fast_ops: bool,
                   dae_epochs=0, cache_batches=cache_batches,
                   precompute_frozen=precompute_frozen, tape=False)
 
-    with use_fast_segment_ops(fast_ops):
-        timing = time_call(fit_once, repeats=repeats, warmup=1)
+    timing = time_call(fit_once, repeats=repeats, warmup=1)
     return timing["best_s"] / epochs
 
 
@@ -127,12 +126,11 @@ def _paired_fast_tape(data, epochs: int, repeats: int, model_kwargs: dict):
         if timed:
             times[name].append(elapsed)
 
-    with use_fast_segment_ops(True):
+    for name in ("fast", "tape"):
+        fit_once(name, timed=False)  # warmup; records the tape plans
+    for _ in range(3 * repeats):
         for name in ("fast", "tape"):
-            fit_once(name, timed=False)  # warmup; records the tape plans
-        for _ in range(3 * repeats):
-            for name in ("fast", "tape"):
-                fit_once(name, timed=True)
+            fit_once(name, timed=True)
     if histories["tape"] != histories["fast"]:
         raise AssertionError(
             "tape replay diverged from the eager fast path: loss histories "
@@ -159,7 +157,7 @@ def run(quick: bool = False) -> dict:
     seed_s = _seed_epoch_seconds(data, epochs, repeats)
 
     naive_model = MGAModel(dtype="float64", **model_kwargs)
-    naive_s = _epoch_seconds(naive_model, data, epochs, fast_ops=False,
+    naive_s = _epoch_seconds(naive_model, data, epochs,
                              cache_batches=False, precompute_frozen=False,
                              repeats=repeats)
 

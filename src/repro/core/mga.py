@@ -38,6 +38,7 @@ from repro.nn import (
     concat,
     cross_entropy,
     iterate_minibatches,
+    no_grad,
     train_epoch,
 )
 from repro.nn.layers import Module
@@ -349,17 +350,27 @@ class MGAModel(Module):
                        batch: Optional[BatchedHeteroGraph] = None) -> np.ndarray:
         """Raw classifier logits in eval mode (float64).
 
+        Runs under :func:`~repro.nn.autograd.no_grad` (no graph is built)
+        and restores the caller's train/eval mode afterwards, also when
+        feature fusion raises.
+
         ``batch`` optionally supplies an already block-diagonal
         :class:`BatchedHeteroGraph` for ``graphs`` (the serving engine caches
         these), skipping the per-call batch construction.
         """
         if not self._fitted:
             raise RuntimeError("MGAModel.predict called before fit")
+        was_training = self.training
         self.eval()
-        fused = self._fuse(list(graphs), np.asarray(vectors, dtype=np.float64),
-                           np.asarray(extra, dtype=np.float64), batch=batch)
-        logits = self.head(fused).data
-        self.train()
+        try:
+            with no_grad():
+                fused = self._fuse(list(graphs),
+                                   np.asarray(vectors, dtype=np.float64),
+                                   np.asarray(extra, dtype=np.float64),
+                                   batch=batch)
+                logits = self.head(fused).data
+        finally:
+            self.train(was_training)
         return logits.astype(np.float64, copy=False)
 
     def predict_proba(self, graphs: Sequence[HeteroGraphData],

@@ -282,10 +282,10 @@ class GraphBatchCache:
     ``_cache`` of :class:`BatchedHeteroGraph` / :class:`EdgeLayout`) is a
     pure function of the graph list and the index tuple — edge sorts,
     degree norms, dtype casts.  None of it depends on mutable global
-    configuration (``set_fast_segment_ops`` / ``set_default_dtype``), so
-    toggling those flags never invalidates these caches.  Flag-dependent
-    derived state lives only in compiled tape plans, which carry a
-    config-epoch guard (see :mod:`repro.nn.tape`).  :meth:`clear` exists
+    configuration (:mod:`repro.nn.runtime`), so changing it never
+    invalidates these caches.  Configuration-dependent derived state lives
+    only in compiled tape plans, which carry a config-epoch guard (see
+    :mod:`repro.nn.tape`).  :meth:`clear` exists
     for memory reclamation between unrelated fits, not for correctness.
     """
 

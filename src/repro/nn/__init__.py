@@ -6,7 +6,8 @@ reverse-mode engine, :mod:`repro.nn.layers` for the module system and
 Array operations route through the pluggable backend seam in
 :mod:`repro.nn.backend` (numpy reference, instrumented ``checked``,
 optional cupy/torch adapters); configure it — together with the default
-dtype and segment-ops knobs — via :mod:`repro.nn.runtime`.
+dtype — via :mod:`repro.nn.runtime`.  :func:`no_grad` scopes inference:
+forward kernels run without building a graph.
 """
 
 from repro.nn import backend, runtime
@@ -18,15 +19,12 @@ from repro.nn.autograd import (
     config_epoch,
     default_dtype,
     dropout,
-    fast_segment_ops_enabled,
     get_default_dtype,
     gradcheck,
+    no_grad,
     segment_mean,
     segment_sum,
-    set_default_dtype,
-    set_fast_segment_ops,
     stack_rows,
-    use_fast_segment_ops,
 )
 from repro.nn.functional import (
     accuracy,
@@ -71,12 +69,9 @@ __all__ = [
     "segment_sum",
     "dropout",
     "gradcheck",
+    "no_grad",
     "default_dtype",
     "get_default_dtype",
-    "set_default_dtype",
-    "fast_segment_ops_enabled",
-    "set_fast_segment_ops",
-    "use_fast_segment_ops",
     "softmax",
     "log_softmax",
     "cross_entropy",

@@ -284,6 +284,9 @@ class CupyBackend(ArrayBackend):
         ns["global_seed"] = cp.random.seed
         ns["qr"] = cp.linalg.qr
         ns["to_host"] = cp.asnumpy
+        # cupy's take has no ``mode``; callers pass in-range indices
+        ns["take"] = lambda a, indices, axis=None, out=None, mode=None: (
+            cp.take(a, indices, axis=axis, out=out))
 
         def add_at(a, indices, values):
             cupyx.scatter_add(a, indices, values)
@@ -393,7 +396,7 @@ class TorchBackend(ArrayBackend):
         ns["sum"] = _reduce(t.sum)
         ns["mean"] = _reduce(t.mean)
         ns["cumsum"] = lambda x, axis=0: t.cumsum(_as(x), dim=axis)
-        ns["take"] = lambda x, idx, axis=0, out=None: (
+        ns["take"] = lambda x, idx, axis=0, out=None, mode=None: (
             t.index_select(_as(x), axis, _as(idx), out=out)
             if out is not None else t.index_select(_as(x), axis, _as(idx)))
 

@@ -2,7 +2,7 @@
 
 All initialisers draw in float64 (so seeded draws are reproducible across
 dtype settings) and cast to the autograd default dtype
-(:func:`repro.nn.autograd.set_default_dtype`); models with an explicit
+(``repro.nn.runtime.configure(default_dtype=...)``); models with an explicit
 ``dtype`` argument cast again via ``Module.to_dtype``.
 """
 

@@ -1,32 +1,25 @@
 """Unified runtime configuration for the nn/gnn stack.
 
-One coherent surface for the process-global numeric knobs that were
-previously scattered free functions:
+One coherent surface for the process-global numeric knobs:
 
-* ``default_dtype`` — dtype for non-float inputs and parameter init
-  (was :func:`repro.nn.autograd.set_default_dtype`),
-* ``fast_segment_ops`` — sorted-run ``reduceat`` segment kernels vs the
-  ``add_at`` reference scatter (was ``set_fast_segment_ops``),
+* ``default_dtype`` — dtype for non-float inputs and parameter init,
 * ``backend`` — the active array backend behind the ``xp`` seam
-  (:mod:`repro.nn.backend`; new with this API).
+  (:mod:`repro.nn.backend`).
 
 Use :func:`configure` for permanent changes, :func:`use` to scope a change
 to a ``with`` block, :func:`config` for the current snapshot.  Every
 *actual* change (setting a knob to its current value is a no-op) bumps the
 tape config epoch, so compiled tape plans recorded under a different
 configuration guard-fail and re-record instead of replaying stale kernels.
-
-The legacy free functions remain as thin shims that emit
-``DeprecationWarning`` and forward here; the context managers
-``default_dtype`` / ``use_fast_segment_ops`` are unchanged, undeprecated
-conveniences over the same storage.
+The :func:`repro.nn.autograd.default_dtype` context manager is a
+convenience over the same storage.
 
 Example::
 
     from repro.nn import runtime
 
     runtime.configure(backend="checked")
-    with runtime.use(default_dtype="float32", fast_segment_ops=False):
+    with runtime.use(default_dtype="float32"):
         model.fit(...)
     print(runtime.describe())
 """
@@ -42,10 +35,9 @@ from .backend import xp
 
 
 class RuntimeConfig(NamedTuple):
-    """Immutable snapshot of the three global knobs."""
+    """Immutable snapshot of the global knobs."""
 
     default_dtype: "xp.dtype"
-    fast_segment_ops: bool
     backend: str
 
 
@@ -53,12 +45,11 @@ def config() -> RuntimeConfig:
     """The current runtime configuration (a snapshot, not a live view)."""
     return RuntimeConfig(
         default_dtype=_ag.get_default_dtype(),
-        fast_segment_ops=_ag.fast_segment_ops_enabled(),
         backend=_backend.active_backend_name(),
     )
 
 
-def configure(*, default_dtype=None, fast_segment_ops: Optional[bool] = None,
+def configure(*, default_dtype=None,
               backend: Optional[str] = None) -> RuntimeConfig:
     """Set any subset of the runtime knobs; returns the new snapshot.
 
@@ -72,13 +63,11 @@ def configure(*, default_dtype=None, fast_segment_ops: Optional[bool] = None,
         _backend.set_active_backend(backend)
     if default_dtype is not None:
         _ag._set_default_dtype_impl(default_dtype)
-    if fast_segment_ops is not None:
-        _ag._set_fast_segment_ops_impl(fast_segment_ops)
     return config()
 
 
 @contextlib.contextmanager
-def use(*, default_dtype=None, fast_segment_ops: Optional[bool] = None,
+def use(*, default_dtype=None,
         backend: Optional[str] = None) -> Iterator[RuntimeConfig]:
     """Scoped :func:`configure`: restores the previous values on exit.
 
@@ -87,14 +76,11 @@ def use(*, default_dtype=None, fast_segment_ops: Optional[bool] = None,
     leak out of it.
     """
     previous = config()
-    applied = configure(default_dtype=default_dtype,
-                        fast_segment_ops=fast_segment_ops,
-                        backend=backend)
+    applied = configure(default_dtype=default_dtype, backend=backend)
     try:
         yield applied
     finally:
         configure(default_dtype=previous.default_dtype,
-                  fast_segment_ops=previous.fast_segment_ops,
                   backend=previous.backend)
 
 
@@ -104,7 +90,6 @@ def describe() -> dict:
     active = _backend.active_backend()
     return {
         "default_dtype": str(snapshot.default_dtype),
-        "fast_segment_ops": snapshot.fast_segment_ops,
         "backend": active.describe(),
         "available_backends": _backend.available_backends(),
         "config_epoch": _ag.config_epoch(),

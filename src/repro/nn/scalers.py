@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from scipy.special import erfinv
-
 from repro.nn.backend import xp
 
 
@@ -110,6 +108,10 @@ class GaussRankScaler:
         return self
 
     def transform(self, x: xp.ndarray) -> xp.ndarray:
+        # imported on first use: scipy.special is slow to import, and most
+        # importers of this module never transform
+        from scipy.special import erfinv
+
         if self.sorted_ is None:
             raise RuntimeError("scaler is not fitted")
         x = xp.asarray(x, dtype=xp.float64)

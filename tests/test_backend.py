@@ -11,15 +11,17 @@ The contract under test, per backend:
   -state tape replay must be allocation-free under its accounting.
 * ``cupy`` / ``torch`` — optional; skipped cleanly when not installed.
 
-Plus ``repro.nn.runtime``: one config surface for dtype / segment-ops /
-backend whose every actual change bumps the tape config epoch, with the
-legacy setters as deprecation shims.
+Plus ``repro.nn.runtime``: one config surface for dtype and backend whose
+every actual change bumps the tape config epoch.
 """
 
-import warnings
+import contextlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
+from segment_oracle import naive_segment_kernels
 
 from repro.gnn.conv import FusedGRUCell, GATConv, GCNConv, GGNNConv, SAGEConv
 from repro.graphs.hetero import EdgeLayout
@@ -37,7 +39,6 @@ from repro.nn import (
     segment_sum,
     softmax,
     stack_rows,
-    use_fast_segment_ops,
 )
 from repro.nn import backend as B
 from repro.nn import runtime
@@ -198,13 +199,14 @@ class TestPrimitiveParity:
 
     @pytest.mark.parametrize("fast", [False, True])
     def test_segment_ops(self, fast):
+        """Sorted kernels (``fast``) or the naive ``np.add.at`` oracle."""
         def build():
             rng = np.random.default_rng(7)
             x = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
             ids = np.array([0, 0, 1, 2, 2, 3, 3, 0], dtype=np.int64)
             return (lambda: (segment_sum(x, ids, 4)
                              + segment_mean(x, ids, 4)).sum(), [x])
-        with use_fast_segment_ops(fast):
+        with contextlib.nullcontext() if fast else naive_segment_kernels():
             _gradcheck_parity(build)
 
     def test_index_select(self):
@@ -257,8 +259,7 @@ class TestPrimitiveParity:
                        requires_grad=True)
             return (lambda: conv(x, layout).tanh().sum(),
                     [x] + conv.parameters())
-        with use_fast_segment_ops(True):
-            _assert_backend_parity(build)
+        _assert_backend_parity(build)
 
 
 # ----------------------------------------------------------------------
@@ -292,33 +293,48 @@ class TestCheckedAccounting:
     def test_tape_replay_is_allocation_free_in_steady_state(self):
         """After warmup, replaying a compiled plan constructs nothing.
 
-        Covers the full MLP + mse path: pooled step buffers, leased
-        matmuls and the persistent gradient arena mean no backend
-        construction and no out-of-place temporary per step.
+        Covers an MLP + mse step and GGNN / GraphSAGE convolution steps
+        (fused GRU, mean aggregation, gathers and segment sums, gradients
+        into the input too): pooled step buffers, leased VJP outputs and
+        the persistent gradient arena mean no backend construction and no
+        out-of-place temporary per step.
         """
-        with runtime.use(backend="checked"):
-            chk = B.active_backend()
+        def mlp_step():
             rng = np.random.default_rng(0)
             x = Tensor(rng.standard_normal((8, 5)))
             y = rng.standard_normal((8, 3))
             mlp = MLP(5, [6], 3, rng=np.random.default_rng(1))
-            params = mlp.parameters()
-            runner = TapeRunner(wrt=params)
+            return (lambda: mse_loss(mlp(x), y)), mlp.parameters()
 
-            def make_loss():
-                return mse_loss(mlp(x), y)
+        def conv_step(conv_cls):
+            rng = np.random.default_rng(2)
+            num_nodes, dim = 10, 4
+            layout = EdgeLayout(_random_edges(rng, num_nodes, 30), num_nodes)
+            conv = conv_cls(dim, dim, rng=np.random.default_rng(7))
+            x = Tensor(rng.standard_normal((num_nodes, dim)),
+                       requires_grad=True)
+            y = rng.standard_normal((num_nodes, dim))
+            return ((lambda: mse_loss(conv(x, layout), y)),
+                    [x] + conv.parameters())
 
-            runner.step("k", make_loss)      # record (eager, allocates)
-            runner.step("k", make_loss)      # first replay warms the pool
-            chk.reset_counters()
-            for _ in range(5):
-                runner.step("k", make_loss)
-            assert runner.replays == 6
-            counters = chk.counters()
-            assert counters["constructions"] == 0, counters
-            assert counters["temp_results"] == 0, counters
-            # the plan does real routed work through the seam every step
-            assert counters["out_calls"] > 0, counters
+        with runtime.use(backend="checked"):
+            chk = B.active_backend()
+            for name, build in (("mlp", mlp_step),
+                                ("ggnn", lambda: conv_step(GGNNConv)),
+                                ("sage", lambda: conv_step(SAGEConv))):
+                make_loss, params = build()
+                runner = TapeRunner(wrt=params)
+                runner.step("k", make_loss)  # record (eager, allocates)
+                runner.step("k", make_loss)  # first replay warms the pool
+                chk.reset_counters()
+                for _ in range(5):
+                    runner.step("k", make_loss)
+                assert runner.replays == 6, name
+                counters = chk.counters()
+                assert counters["constructions"] == 0, (name, counters)
+                assert counters["temp_results"] == 0, (name, counters)
+                # the plan does real routed work through the seam every step
+                assert counters["out_calls"] > 0, (name, counters)
 
 
 # ----------------------------------------------------------------------
@@ -407,10 +423,12 @@ class TestRuntimeAPI:
             e0 = config_epoch()
             runtime.configure(default_dtype=before.default_dtype)  # no-op
             assert config_epoch() == e0
-            runtime.configure(fast_segment_ops=not before.fast_segment_ops)
+            other = ("float32" if before.default_dtype == np.float64
+                     else "float64")
+            runtime.configure(default_dtype=other)
             assert config_epoch() == e0 + 1
         finally:
-            runtime.configure(fast_segment_ops=before.fast_segment_ops)
+            runtime.configure(default_dtype=before.default_dtype)
 
     def test_backend_switch_bumps_epoch_and_invalidates_plans(self):
         e0 = config_epoch()
@@ -434,15 +452,16 @@ class TestRuntimeAPI:
 
     def test_use_scopes_and_restores(self):
         before = runtime.config()
-        with runtime.use(default_dtype="float32",
-                         fast_segment_ops=False) as cfg:
+        other = ("checked" if B.active_backend_name() != "checked"
+                 else "numpy")
+        with runtime.use(default_dtype="float32", backend=other) as cfg:
             assert cfg.default_dtype == np.dtype(np.float32)
-            assert runtime.config().fast_segment_ops is False
+            assert runtime.config().backend == other
         assert runtime.config() == before
 
     def test_describe_is_json_shaped(self):
         info = runtime.describe()
-        assert set(info) == {"default_dtype", "fast_segment_ops", "backend",
+        assert set(info) == {"default_dtype", "backend",
                              "available_backends", "config_epoch"}
         assert info["backend"]["name"] == runtime.config().backend
 
@@ -452,34 +471,44 @@ class TestRuntimeAPI:
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
+# static seam gate (tools/check_backend_seam.py)
 # ----------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_set_default_dtype_warns_and_forwards(self):
-        from repro.nn import get_default_dtype, set_default_dtype
-        before = get_default_dtype()
-        try:
-            with pytest.warns(DeprecationWarning, match="runtime.configure"):
-                set_default_dtype("float32")
-            assert get_default_dtype() == np.dtype(np.float32)
-        finally:
-            runtime.configure(default_dtype=before)
+ROOT = Path(__file__).resolve().parent.parent
 
-    def test_set_fast_segment_ops_warns_and_forwards(self):
-        from repro.nn import fast_segment_ops_enabled, set_fast_segment_ops
-        before = fast_segment_ops_enabled()
-        try:
-            with pytest.warns(DeprecationWarning, match="runtime.configure"):
-                set_fast_segment_ops(not before)
-            assert fast_segment_ops_enabled() is (not before)
-        finally:
-            runtime.configure(fast_segment_ops=before)
 
-    def test_context_managers_do_not_warn(self):
-        from repro.nn import default_dtype
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with default_dtype("float32"):
-                pass
-            with use_fast_segment_ops(False):
-                pass
+def _seam_gate():
+    spec = importlib.util.spec_from_file_location(
+        "check_backend_seam", ROOT / "tools" / "check_backend_seam.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSeamGate:
+    def test_repository_is_clean(self):
+        assert _seam_gate().main(ROOT) == 0
+
+    def test_import_time_scipy_is_rejected(self, tmp_path, capsys):
+        gate = _seam_gate()
+        module = tmp_path / "src" / "repro" / "nn" / "mod.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "import scipy.linalg\n"
+            "class A:\n"
+            "    from scipy.special import erfinv\n"
+            "def f():\n"
+            "    from scipy.special import erfinv\n"
+            "    return erfinv\n"
+            "g = lambda: __import__('scipy')\n")
+        assert gate.find_eager_scipy_imports(module) == [
+            (1, "import scipy.linalg"),
+            (3, "from scipy.special import erfinv")]
+        assert gate.main(tmp_path) == 1
+        assert "mod.py:1" in capsys.readouterr().out
+
+    def test_function_level_scipy_is_allowed(self, tmp_path):
+        gate = _seam_gate()
+        module = tmp_path / "src" / "repro" / "gnn" / "mod.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("def f():\n    import scipy.special\n")
+        assert gate.main(tmp_path) == 0

@@ -7,6 +7,7 @@ from repro.core import DeviceMapper, MGAModel, MGATuner, ModalityConfig
 from repro.datasets import DevMapDatasetBuilder
 from repro.kernels import registry
 from repro.nn import accuracy
+from repro.nn.tape import Tape
 from repro.simulator.microarch import COMET_LAKE_8C, TAHITI_7970
 
 
@@ -70,6 +71,58 @@ class TestMGAModelTraining:
             MGAModel(graphs[0].feature_dim, vectors.shape[1], 5,
                      ds.num_configs).fit(graphs, vectors, np.zeros((4, 5)),
                                          np.zeros(4, dtype=int), epochs=1)
+
+
+class TestPredictMode:
+    """``predict`` runs without a graph and leaves the caller's mode alone."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, small_openmp_dataset):
+        ds = small_openmp_dataset
+        graphs = [s.graph for s in ds.samples]
+        vectors = np.stack([s.vector for s in ds.samples])
+        extra = ds.counter_matrix()
+        model = MGAModel(graphs[0].feature_dim, vectors.shape[1],
+                         extra.shape[1], ds.num_configs, gnn_hidden=8,
+                         gnn_out=8, dae_hidden=16, dae_code=4, mlp_hidden=8,
+                         seed=0)
+        model.fit(graphs, vectors, extra, ds.labels(), epochs=1, dae_epochs=1)
+        return model, graphs[:4], vectors[:4], extra[:4]
+
+    def test_predict_keeps_eval_mode(self, fitted):
+        model, graphs, vectors, extra = fitted
+        model.eval()
+        try:
+            model.predict(graphs, vectors, extra)
+            assert model.training is False
+            assert not any(m.training for m in model.named_modules().values())
+        finally:
+            model.train()
+
+    @pytest.mark.parametrize("mode", [True, False])
+    def test_mode_restored_when_fuse_raises(self, fitted, monkeypatch, mode):
+        model, graphs, vectors, extra = fitted
+        model.train(mode)
+
+        def broken_fuse(*args, **kwargs):
+            raise RuntimeError("fusion failed")
+        monkeypatch.setattr(model, "_fuse", broken_fuse)
+        try:
+            with pytest.raises(RuntimeError, match="fusion failed"):
+                model.predict(graphs, vectors, extra)
+            assert model.training is mode
+        finally:
+            model.train()
+
+    def test_predict_records_nothing(self, fitted):
+        model, graphs, vectors, extra = fitted
+        expected = model.predict_logits(graphs, vectors, extra)
+        tape = Tape()
+        with tape.recording():
+            logits = model.predict_logits(graphs, vectors, extra)
+            model.dae.encode(vectors)
+        assert tape.nodes == []
+        np.testing.assert_array_equal(logits, expected)
 
 
 class TestMGATuner:

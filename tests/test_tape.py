@@ -5,12 +5,15 @@ the compiled plan is a *performance* change only.  Replayed losses and
 gradients are bitwise identical to eager for every traced primitive
 (including the fused GRU, the segment kernels and all four convolutions),
 arena gradient buffers keep a stable ``id(p.grad)`` across steps, and the
-guards (fingerprint, config epoch, unsupported ops) fall back to eager
+guards (fingerprint, config epoch, unsupported graphs) fall back to eager
 without changing any numbers.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
+from segment_oracle import naive_segment_kernels
 
 from repro.core.mga import MGAModel
 from repro.gnn.conv import (
@@ -30,13 +33,12 @@ from repro.nn import (
     cross_entropy,
     log_softmax,
     segment_mean,
+    get_default_dtype,
+    runtime,
     segment_sum,
-    set_fast_segment_ops,
     softmax,
     stack_rows,
-    use_fast_segment_ops,
 )
-from repro.nn.autograd import fast_segment_ops_enabled
 
 
 # ----------------------------------------------------------------------
@@ -95,6 +97,7 @@ def _gradcheck_replayed(make_loss, params, atol=1e-4):
     for p, rg in zip(params, replay_grads):
         numeric = _numeric_grad(make_loss, p)
         np.testing.assert_allclose(rg, numeric, atol=atol)
+    return replay_grads
 
 
 def _random_edges(rng, num_nodes, num_edges):
@@ -162,13 +165,20 @@ class TestPrimitiveReplay:
 
     @pytest.mark.parametrize("fast", [False, True])
     def test_segment_ops(self, fast):
+        """Sorted kernels (``fast``) or the naive oracle: both replay
+        bitwise; the sorted kernels' gradient matches the oracle's."""
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((10, 4)), requires_grad=True)
         ids = np.array([0, 0, 1, 2, 2, 2, 3, 3, 0, 1], dtype=np.int64)
-        with use_fast_segment_ops(fast):
-            _gradcheck_replayed(
-                lambda: (segment_sum(x, ids, 4)
-                         + segment_mean(x, ids, 4)).sum(), [x])
+        make_loss = lambda: (segment_sum(x, ids, 4)  # noqa: E731
+                             + segment_mean(x, ids, 4)).sum()
+        with naive_segment_kernels():
+            make_loss().backward()
+        naive_grad, x.grad = x.grad, None
+        kernels = contextlib.nullcontext() if fast else naive_segment_kernels()
+        with kernels:
+            grads = _gradcheck_replayed(make_loss, [x])
+        np.testing.assert_allclose(grads[0], naive_grad, atol=1e-12)
 
     def test_index_select(self):
         rng = np.random.default_rng(8)
@@ -192,9 +202,8 @@ class TestPrimitiveReplay:
                             num_nodes)
         conv = conv_cls(dim, dim, rng=np.random.default_rng(7))
         x = Tensor(rng.standard_normal((num_nodes, dim)), requires_grad=True)
-        with use_fast_segment_ops(True):
-            _gradcheck_replayed(lambda: conv(x, layout).tanh().sum(),
-                                [x] + conv.parameters(), atol=1e-4)
+        _gradcheck_replayed(lambda: conv(x, layout).tanh().sum(),
+                            [x] + conv.parameters(), atol=1e-4)
 
     def test_dropout_rng_stream_stays_aligned(self):
         """Replay draws dropout masks from the captured rng, like eager."""
@@ -297,34 +306,30 @@ class TestGuards:
         ids = np.array([0, 1, 1, 2, 0, 2, 2, 1], dtype=np.int64)
         make_loss = lambda: (segment_sum(x, ids, 3) ** 2.0).sum()
         runner = TapeRunner(wrt=[x])
-        previous = fast_segment_ops_enabled()
-        try:
-            set_fast_segment_ops(True)
-            runner.step("k", make_loss)
-            runner.step("k", make_loss)
-            assert runner.replays == 1
-            epoch = config_epoch()
+        runner.step("k", make_loss)
+        runner.step("k", make_loss)
+        assert runner.replays == 1
+        epoch = config_epoch()
+        other = "float32" if get_default_dtype() == np.float64 else "float64"
 
-            set_fast_segment_ops(False)  # bumps the config epoch
+        with runtime.use(default_dtype=other):  # bumps the config epoch
             assert config_epoch() == epoch + 1
             loss = runner.step("k", make_loss)
             assert runner.guard_failures == 1 and runner.records == 2
             got = x.grad.copy()
 
-            # numbers match a fresh eager step under the new flag value
+            # numbers match a fresh eager step under the new configuration
             x.grad = None
             ref = make_loss()
             ref.backward()
             assert loss == float(ref.data)
             np.testing.assert_array_equal(got, x.grad)
 
-            # and the re-recorded plan replays under the new flag
+            # and the re-recorded plan replays under it
             x.grad = None
             runner.step("k", make_loss)
             assert runner.replays == 2
             np.testing.assert_array_equal(x.grad, got)
-        finally:
-            set_fast_segment_ops(previous)
 
     def test_leaf_identity_guard(self):
         """Replacing a leaf's array (not just mutating it) drops the plan."""
@@ -340,15 +345,14 @@ class TestGuards:
         np.testing.assert_array_equal(x.grad, 2.0 * x.data)
 
     def test_unsupported_op_pins_key_to_eager(self):
+        """A graph node built outside the recording cannot be replayed."""
         x = Tensor(np.arange(4.0) + 1.0, requires_grad=True)
+        doubled = x * 2.0
 
-        def untraced_double(t):
-            def backward(grad):
-                if t.requires_grad:
-                    t._accumulate_owned(grad * 2.0)
-            return Tensor._make(t.data * 2.0, (t,), backward)
+        def make_loss():
+            doubled.grad = None  # shared node: drop the previous step's grad
+            return doubled.sum()
 
-        make_loss = lambda: untraced_double(x).sum()
         runner = TapeRunner(wrt=[x])
         for _ in range(3):
             loss = runner.step("k", make_loss)

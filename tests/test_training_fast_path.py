@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from segment_oracle import naive_segment_kernels
 
 from repro.core.mga import MGAModel
 from repro.gnn.conv import (
@@ -22,7 +23,7 @@ from repro.gnn.conv import (
     SAGEConv,
 )
 from repro.graphs.hetero import EdgeLayout, GraphBatchCache
-from repro.nn import Tensor, use_fast_segment_ops
+from repro.nn import Tensor
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_mga_float64.npz"
 
@@ -31,6 +32,19 @@ def _random_edges(rng: np.random.Generator, num_nodes: int,
                   num_edges: int) -> np.ndarray:
     return np.stack([rng.integers(0, num_nodes, num_edges),
                      rng.integers(0, num_nodes, num_edges)]).astype(np.int64)
+
+
+def _ggnn_reference(conv: GGNNConv, x: Tensor, edges: np.ndarray) -> Tensor:
+    """GGNN with unfused mean aggregation: gather in edge order, scatter,
+    scale by the reciprocal in-degree (the seed's message passing)."""
+    num_nodes = x.shape[0]
+    layout = EdgeLayout(edges, num_nodes)
+    h = conv.project(x)
+    deg_in = Tensor(layout.inv_in_deg_as(h.data.dtype))
+    for _ in range(conv.num_steps):
+        msgs = conv.message(h).index_select(layout.src)
+        h = conv.gru(msgs.scatter_add(layout.dst, num_nodes) * deg_in, h)
+    return h
 
 
 class TestConvOldVsNew:
@@ -44,16 +58,18 @@ class TestConvOldVsNew:
         conv = conv_cls(dim, dim, rng=np.random.default_rng(7))
         x_data = rng.standard_normal((num_nodes, dim))
 
-        with use_fast_segment_ops(False):
+        with naive_segment_kernels():
             x_naive = Tensor(x_data.copy(), requires_grad=True)
-            out_naive = conv(x_naive, edges)
+            if conv_cls is GGNNConv:
+                out_naive = _ggnn_reference(conv, x_naive, edges)
+            else:
+                out_naive = conv(x_naive, edges)
             out_naive.sum().backward()
             grads_naive = [p.grad.copy() for p in conv.parameters()]
         conv.zero_grad()
-        with use_fast_segment_ops(True):
-            x_fast = Tensor(x_data.copy(), requires_grad=True)
-            out_fast = conv(x_fast, EdgeLayout(edges, num_nodes))
-            out_fast.sum().backward()
+        x_fast = Tensor(x_data.copy(), requires_grad=True)
+        out_fast = conv(x_fast, EdgeLayout(edges, num_nodes))
+        out_fast.sum().backward()
 
         np.testing.assert_allclose(out_fast.data, out_naive.data, atol=1e-10)
         np.testing.assert_allclose(x_fast.grad, x_naive.grad, atol=1e-10)
@@ -101,10 +117,11 @@ class TestFusedGRU:
 
 
 class TestSeedEquivalence:
-    """float64 mode + seed schedule reproduces the seed implementation."""
+    """float64 mode + seed schedule reproduces the seed implementation,
+    trained eagerly and with tape replay."""
 
-    @pytest.mark.parametrize("fast_ops", [False, True])
-    def test_golden_logits(self, small_openmp_dataset, fast_ops):
+    @pytest.mark.parametrize("tape", [False, True])
+    def test_golden_logits(self, small_openmp_dataset, tape):
         ds = small_openmp_dataset
         graphs = [s.graph for s in ds.samples]
         vectors = np.stack([s.vector for s in ds.samples])
@@ -117,11 +134,10 @@ class TestSeedEquivalence:
                          extra.shape[1], ds.num_configs, gnn_hidden=12,
                          gnn_out=12, dae_hidden=24, dae_code=8, mlp_hidden=16,
                          seed=0, dtype="float64")
-        with use_fast_segment_ops(fast_ops):
-            history = model.fit(graphs, vectors, extra, labels, epochs=6,
-                                dae_epochs=4, cache_batches=False,
-                                precompute_frozen=False)
-            logits = model.predict_logits(graphs, vectors, extra)
+        history = model.fit(graphs, vectors, extra, labels, epochs=6,
+                            dae_epochs=4, cache_batches=False,
+                            precompute_frozen=False, tape=tape)
+        logits = model.predict_logits(graphs, vectors, extra)
         np.testing.assert_allclose(np.array(history["loss"]), golden["loss"],
                                    atol=1e-8)
         np.testing.assert_allclose(logits, golden["logits"], atol=1e-8)

@@ -7,10 +7,15 @@ stray ``import numpy`` in one of those modules silently pins that code to
 the host CPU and breaks the checked backend's accounting, so CI fails on
 it here rather than in a device-parity test months later.
 
+The same modules may import ``scipy`` only inside a function: importing
+``repro.nn`` (and so every CLI and server process) must not pay scipy's
+start-up cost for a routine used on one path.
+
 The check is AST-based (not grep): it flags ``import numpy`` /
 ``import numpy as anything`` / ``from numpy import ...`` /
 ``from numpy.random import ...`` wherever they appear in a module,
-including inside functions.  Mentions of numpy in strings, comments or
+including inside functions, and ``scipy`` imports that run at import
+time (module level or in a class body).  Mentions in strings, comments or
 docstrings are fine.
 
 Allowlisted:
@@ -40,26 +45,38 @@ ALLOWLIST = frozenset({
 })
 
 
+def _imports(node: ast.AST, root: str, in_function: bool = False):
+    """``(line, text, in_function)`` for imports of package ``root``."""
+    for child in ast.iter_child_nodes(node):
+        nested = in_function or isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                if alias.name.split(".")[0] == root:
+                    yield (child.lineno, f"import {alias.name}"
+                           + (f" as {alias.asname}" if alias.asname else ""),
+                           in_function)
+        elif isinstance(child, ast.ImportFrom):
+            # level > 0 is a relative import and can never reach root
+            if child.level == 0 and child.module \
+                    and child.module.split(".")[0] == root:
+                names = ", ".join(a.name for a in child.names)
+                yield (child.lineno, f"from {child.module} import {names}",
+                       in_function)
+        yield from _imports(child, root, nested)
+
+
 def find_numpy_imports(path: Path) -> list:
     """``(line, text)`` for every direct numpy import in ``path``."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    violations = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root == "numpy":
-                    violations.append(
-                        (node.lineno, f"import {alias.name}"
-                         + (f" as {alias.asname}" if alias.asname else "")))
-        elif isinstance(node, ast.ImportFrom):
-            # level > 0 is a relative import and can never reach numpy
-            if node.level == 0 and node.module \
-                    and node.module.split(".")[0] == "numpy":
-                names = ", ".join(a.name for a in node.names)
-                violations.append(
-                    (node.lineno, f"from {node.module} import {names}"))
-    return violations
+    return [(line, text) for line, text, _ in _imports(tree, "numpy")]
+
+
+def find_eager_scipy_imports(path: Path) -> list:
+    """``(line, text)`` for every scipy import that runs at import time."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(line, text) for line, text, in_function in _imports(tree, "scipy")
+            if not in_function]
 
 
 def main(root: Path) -> int:
@@ -69,13 +86,16 @@ def main(root: Path) -> int:
         base = root / sealed
         for path in sorted(base.rglob("*.py")):
             rel = path.relative_to(root).as_posix()
+            for lineno, text in find_eager_scipy_imports(path):
+                failures.append(f"{rel}:{lineno}: {text} (import scipy "
+                                f"inside the function that uses it)")
             if rel in ALLOWLIST:
                 continue
             checked += 1
             for lineno, text in find_numpy_imports(path):
                 failures.append(f"{rel}:{lineno}: {text}")
     if failures:
-        print("direct numpy imports behind the backend seam "
+        print("imports that break the backend seam "
               f"({len(failures)}):")
         for line in failures:
             print(f"  {line}")
