@@ -138,8 +138,7 @@ def _reference_responses(root: str, requests):
     request shards by.
     """
     tuner = ModelRegistry(root).load(requests[0]["model"])
-    with InferenceEngine(tuner, max_batch_size=MAX_BATCH,
-                         max_wait_ms=1.0) as engine:
+    with InferenceEngine(tuner, max_batch_size=MAX_BATCH) as engine:
         answers = {}
         for request in requests:
             key = (request["kernel"], request["scale"])

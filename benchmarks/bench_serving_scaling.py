@@ -85,8 +85,7 @@ def _request_stream(num_requests: int, seed: int = 7):
 def _reference_responses(root: str, requests):
     """The in-process engine's answers over the same published artifact."""
     tuner = ModelRegistry(root).load("bench-openmp")
-    with InferenceEngine(tuner, max_batch_size=MAX_BATCH,
-                         max_wait_ms=1.0) as engine:
+    with InferenceEngine(tuner, max_batch_size=MAX_BATCH) as engine:
         responses = []
         for uid, scale in requests:
             config, counters = engine.tune(registry.get_kernel(uid), scale)

@@ -253,6 +253,9 @@ class MGAModel(Module):
         if len(graphs) != n or vectors.shape[0] != n or extra.shape[0] != n:
             raise ValueError("modalities disagree on the number of samples")
 
+        # a restored artifact comes back in eval mode: train like a fresh
+        # model (dropout on) whatever mode the caller left
+        self.train()
         if self.modalities.use_vector:
             self.dae.fit(vectors, epochs=dae_epochs)
         if self.modalities.use_extra:
@@ -360,8 +363,11 @@ class MGAModel(Module):
         """
         if not self._fitted:
             raise RuntimeError("MGAModel.predict called before fit")
+        # ``train``/``eval`` set the whole subtree, so the root flag is
+        # authoritative: an eval-mode model (serving) skips both walks
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with no_grad():
                 fused = self._fuse(list(graphs),
@@ -370,7 +376,8 @@ class MGAModel(Module):
                                    batch=batch)
                 logits = self.head(fused).data
         finally:
-            self.train(was_training)
+            if was_training:
+                self.train()
         return logits.astype(np.float64, copy=False)
 
     def predict_proba(self, graphs: Sequence[HeteroGraphData],

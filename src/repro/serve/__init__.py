@@ -8,14 +8,15 @@ The serving subsystem takes a trained tuner from "in-memory object" to
   integrity checks;
 * :mod:`repro.serve.registry` — :class:`ModelRegistry`, a named + versioned
   model store over a directory tree;
-* :mod:`repro.serve.engine` — :class:`InferenceEngine`, thread-safe
-  micro-batching of concurrent requests into single
-  :meth:`~repro.core.mga.MGAModel.predict` calls with an LRU cache of static
-  features;
+* :mod:`repro.serve.engine` — :class:`InferenceEngine`, the synchronous
+  batch core: a batch of requests becomes one
+  :meth:`~repro.core.mga.MGAModel.predict` call per ``max_batch_size``
+  chunk, with LRU caches of static features and of answers;
 * :mod:`repro.serve.service` — :class:`TuningService`, the request/response
   façade with per-model routing and latency/throughput counters;
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`, a socket-served
-  multi-worker front-end: deadline-aware micro-batching, bounded queues
+  multi-worker front-end: deadline-aware micro-batching (the one batching
+  layer of a daemon request; each batch is one engine call), bounded queues
   with load shedding, a self-healing process pool and drain-on-shutdown;
   serves ``AF_UNIX`` paths or ``tcp://HOST:PORT`` (same protocol);
 * :mod:`repro.serve.router` — :class:`ServeRouter`, the multi-host
@@ -56,7 +57,7 @@ from repro.serve.client import DaemonClient, DaemonError
 from repro.serve.daemon import ServeDaemon
 from repro.serve.drift import DriftBaseline, DriftMonitor, baseline_for
 from repro.serve.faults import FaultPlan
-from repro.serve.engine import InferenceEngine, PendingResult
+from repro.serve.engine import InferenceEngine
 from repro.serve.lifecycle import LifecycleManager, ShadowPolicy, SwapError
 from repro.serve.loadgen import open_loop
 from repro.serve.registry import ModelRegistry, ModelVersion
@@ -81,7 +82,6 @@ __all__ = [
     "ModelRegistry",
     "ModelVersion",
     "InferenceEngine",
-    "PendingResult",
     "ServeDaemon",
     "ServeRouter",
     "HashRing",

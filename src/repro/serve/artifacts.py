@@ -256,7 +256,8 @@ def _restore_model(config: Optional[Dict[str, Any]],
     state = {key[len("model."):]: value for key, value in arrays.items()
              if key.startswith("model.")}
     model.load_state_dict(state)
-    return model
+    # restored for inference: eval mode lets predict skip its mode walk
+    return model.eval()
 
 
 def read_artifact_dir(path: Union[str, os.PathLike]):

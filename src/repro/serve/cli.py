@@ -119,8 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--max-queue", type=int, default=64,
                         help="bounded queue: shed (overloaded) beyond this "
                              "many waiting requests")
-    daemon.add_argument("--engine-wait-ms", type=float, default=2.0,
-                        help="worker-side engine micro-batch window")
     daemon.add_argument("--preload", action="append", default=[],
                         metavar="MODEL[@VERSION]",
                         help="warm these models in every worker before "
@@ -495,7 +493,7 @@ def _cmd_daemon(args) -> int:
         registry_root=args.root,
         workers=args.workers, max_batch=args.max_batch,
         deadline_ms=args.deadline_ms, max_queue=args.max_queue,
-        engine_max_wait_ms=args.engine_wait_ms, preload=args.preload,
+        preload=args.preload,
         debug_ops=args.debug_ops, mp_start_method=args.mp_start,
         watch_interval_s=args.watch_interval)
     daemon.start()

@@ -13,7 +13,10 @@ in-process :class:`~repro.serve.engine.InferenceEngine`:
   ``deadline_ms``, whichever comes first;
 * a **pool of worker processes**, each holding a warm
   :class:`~repro.serve.registry.ModelRegistry` model behind its own
-  :class:`~repro.serve.engine.InferenceEngine`, executes the batches.
+  :class:`~repro.serve.engine.InferenceEngine`, executes the batches: a
+  batch's requests for one model are one synchronous ``tune_many`` /
+  ``map_many`` call, so the dispatcher's micro-batch is the one batching
+  layer on the request path and the engine adds no wait of its own.
 
 The request queue is bounded: when ``max_queue`` requests are already
 waiting, new work is *shed* with a structured ``overloaded`` error instead
@@ -101,16 +104,23 @@ def route_label(route: tuple) -> str:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
+def _failure(code: str, exc: BaseException) -> Dict[str, Any]:
+    return {"ok": False, "error": {"code": code,
+                                   "message": f"{type(exc).__name__}: {exc}"}}
+
+
 def _execute_tune_map(service, requests: List[Dict[str, Any]]
                       ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Answer a batch of tune/map requests through one warm engine each.
+    """Answer a batch of tune/map requests with one engine call per engine.
 
-    All requests are *submitted* before any result is awaited, so
-    co-batched requests for the same model coalesce into single
-    ``MGAModel.predict`` calls inside the engine — the daemon's batch is
-    the engine's batch.  Returns the results plus cumulative per-engine
-    drift summaries (keyed ``model@version``) for the daemon's
-    aggregator.
+    Each request is resolved on its own (engine, kernel, model kind,
+    scale); a failure there fails only that request (``bad_request``).
+    The rest are grouped by engine and each group is one ``tune_many`` /
+    ``map_many`` call, so the daemon's batch is the engine's batch.  A
+    request whose features cannot be prepared fails alone
+    (``bad_request``); a failing model forward fails its whole group
+    (``internal``).  Returns the results plus cumulative per-engine drift
+    summaries (keyed ``model@version``) for the daemon's aggregator.
     """
     from repro.kernels import registry as kernel_registry
     from repro.serve.service import (
@@ -121,56 +131,49 @@ def _execute_tune_map(service, requests: List[Dict[str, Any]]
         tune_response_fields,
     )
 
-    submitted: List[Tuple[Optional[Any], Optional[Dict], Optional[str]]] = []
+    results: List[Optional[Dict[str, Any]]] = [None] * len(requests)
     engines_used: Dict[str, Any] = {}
-    for request in requests:
+    groups: Dict[Tuple[str, str], List[Tuple[int, tuple, tuple]]] = {}
+    for position, request in enumerate(requests):
         try:
-            engine, version = service.engine(request["model"],
-                                             request.get("version"))
-            engines_used[f"{request['model']}@{version}"] = engine
+            model, op = request["model"], request["op"]
+            engine, version = service.engine(model, request.get("version"))
+            label = f"{model}@{version}"
+            engines_used[label] = engine
             spec = kernel_registry.get_kernel(request["kernel"])
-            if request["op"] == "tune":
-                require_tuner(engine.predictor, request["model"])
+            if op == "tune":
+                require_tuner(engine.predictor, model)
                 scale = resolve_tune_scale(spec, request.get("scale"),
                                            request.get("target_bytes"))
-                pending = engine.submit_tune(spec, scale)
-                meta = {"op": "tune", "model": request["model"],
-                        "version": version, "kernel": request["kernel"],
-                        "scale": scale}
+                args = (spec, scale)
+                fields = (model, version, request["kernel"], scale)
             else:
-                require_mapper(engine.predictor, request["model"])
-                pending = engine.submit_map(spec,
-                                            float(request["transfer_bytes"]),
-                                            int(request["wgsize"]))
-                meta = {"op": "map", "model": request["model"],
-                        "version": version, "kernel": request["kernel"]}
-            submitted.append((pending, meta, None))
+                require_mapper(engine.predictor, model)
+                args = (spec, float(request["transfer_bytes"]),
+                        int(request["wgsize"]))
+                fields = (model, version, request["kernel"])
+            groups.setdefault((label, op), []).append(
+                (position, args, fields))
         except Exception as exc:
-            submitted.append((None, None,
-                              f"{type(exc).__name__}: {exc}"))
-    results = []
-    for pending, meta, failure in submitted:
-        if failure is not None:
-            results.append({"ok": False,
-                            "error": {"code": ERR_BAD_REQUEST,
-                                      "message": failure}})
-            continue
+            results[position] = _failure(ERR_BAD_REQUEST, exc)
+    for (label, op), members in groups.items():
+        engine = engines_used[label]
+        many = engine.tune_many if op == "tune" else engine.map_many
         try:
-            value = pending.result(timeout=600.0)
-            if meta["op"] == "tune":
-                config, counters = value
-                result = tune_response_fields(
-                    meta["model"], meta["version"], meta["kernel"],
-                    meta["scale"], config, counters)
-            else:
-                result = map_response_fields(meta["model"], meta["version"],
-                                             meta["kernel"], int(value))
-            results.append({"ok": True, "result": result})
+            answers = many([args for _, args, _ in members])
         except Exception as exc:
-            results.append({"ok": False,
-                            "error": {"code": ERR_INTERNAL,
-                                      "message": f"{type(exc).__name__}: "
-                                                 f"{exc}"}})
+            for position, _, _ in members:
+                results[position] = _failure(ERR_INTERNAL, exc)
+            continue
+        for (position, _, fields), answer in zip(members, answers):
+            if isinstance(answer, Exception):
+                results[position] = _failure(ERR_BAD_REQUEST, answer)
+            elif op == "tune":
+                results[position] = {"ok": True, "result":
+                                     tune_response_fields(*fields, *answer)}
+            else:
+                results[position] = {"ok": True, "result":
+                                     map_response_fields(*fields, answer)}
     drift: Dict[str, Any] = {}
     for label, engine in engines_used.items():
         summary = engine.drift_summary()
@@ -287,11 +290,7 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
                 try:
                     results.append(_execute_one(service, request, debug_ops))
                 except Exception as exc:
-                    results.append(
-                        {"ok": False,
-                         "error": {"code": ERR_BAD_REQUEST,
-                                   "message": f"{type(exc).__name__}: "
-                                              f"{exc}"}})
+                    results.append(_failure(ERR_BAD_REQUEST, exc))
         if tune_map:
             answers, extras = _execute_tune_map(
                 service, [request for _, request in tune_map])
@@ -341,7 +340,7 @@ class ServeDaemon:
     def __init__(self, address: str, registry_root: Optional[str] = None,
                  workers: int = 2, max_batch: int = 16,
                  deadline_ms: float = 10.0, max_queue: int = 64,
-                 engine_max_wait_ms: float = 2.0, cache_size: int = 512,
+                 cache_size: int = 512,
                  preload: Optional[List[str]] = None, debug_ops: bool = False,
                  mp_start_method: Optional[str] = None,
                  watch_interval_s: float = 0.5):
@@ -362,7 +361,6 @@ class ServeDaemon:
         self.deadline_s = float(deadline_ms) / 1e3
         self.max_queue = int(max_queue)
         self.engine_opts = {"max_batch_size": int(max_batch),
-                            "max_wait_ms": float(engine_max_wait_ms),
                             "cache_size": int(cache_size)}
         self.preload = list(preload or [])
         self.debug_ops = bool(debug_ops)
@@ -976,18 +974,18 @@ class ServeDaemon:
     def _form_shadow_batch_locked(self, worker: _Worker):
         """A shadow batch, only when live traffic keeps enough workers.
 
-        Policy: with live requests queued (none flushable yet), at least
-        two workers must be idle so one remains for the live batch that
-        is about to flush; with an empty live queue any idle worker may
-        drain shadows.
+        Policy: a shadow batch must leave a worker idle for live traffic —
+        for the live batch about to flush when requests are queued (none
+        flushable yet), and for the next arrival when none are, since a
+        live request can land while every other worker drains shadows.  A
+        one-worker pool drains shadows only while no live request waits.
         """
         if not self._shadow_queued or self._draining:
             return None
-        if self._queued:
-            idle = sum(1 for candidate in self._pool.values()
-                       if candidate.busy_with is None and candidate.alive())
-            if idle < 2:
-                return None
+        idle = sum(1 for candidate in self._pool.values()
+                   if candidate.busy_with is None and candidate.alive())
+        if idle < 2 and (self._queued or len(self._pool) > 1):
+            return None
         chosen = None
         for route, pending in self._shadow_routes.items():
             if pending:

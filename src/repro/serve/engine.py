@@ -1,10 +1,15 @@
-"""Thread-safe batched inference over a fitted tuner or device mapper.
+"""Batched, cached inference over a fitted tuner or device mapper.
 
-Concurrent ``tune`` / ``map_device`` requests are micro-batched: a worker
-thread gathers everything queued within a short window (``max_wait_ms``, up
-to ``max_batch_size``) and issues **one** :meth:`MGAModel.predict` call for
-the whole batch, which amortises graph batching and the per-call numpy
-overhead across requests.
+:meth:`InferenceEngine.tune_many` / :meth:`~InferenceEngine.map_many` answer
+a batch of requests synchronously, on the caller's thread, and are the only
+prediction path: memo hits are answered first, the misses get their static
+features, and each chunk of at most ``max_batch_size`` misses is one
+:meth:`MGAModel.predict` call, which amortises graph batching and the
+per-call numpy overhead across requests.  ``tune`` and ``map_device`` are
+one-element batches.  The engine has no queue and no thread of its own, so
+the caller's batch *is* the engine's batch: behind the serve daemon, the
+dispatcher's per-route micro-batch is the one batching layer on the path.
+One lock around ``predict`` keeps concurrent in-process callers safe.
 
 Static features are memoised in an LRU cache: the ProGraML graph, the IR2Vec
 vector and — for OpenMP tuning — the default-configuration profiling counters
@@ -13,7 +18,7 @@ only the first request pays for lowering, graph construction, encoding and
 the simulated profiling runs.
 
 Because the model is deterministic given those features, the *final* response
-is memoised too (``memoize_results``): a repeat of an already-answered
+is memoised too: a repeat of an already-answered
 (kernel, input size) request returns without touching the model at all, the
 way any serving layer fronts a pure function with a response cache.
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 import collections
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.tuner import DeviceMapper, MGATuner
 from repro.frontend.openmp import OMPConfig, default_omp_config
@@ -35,12 +40,18 @@ from repro.serve.drift import map_feature_vector, tune_feature_vector
 
 
 class _LRUCache:
-    """A small thread-safe least-recently-used cache with hit statistics."""
+    """A small thread-safe least-recently-used cache with hit statistics.
 
-    def __init__(self, capacity: int):
+    Holds at most ``capacity`` total ``weight`` (one per entry by default),
+    but always keeps the newest entry.
+    """
+
+    def __init__(self, capacity: int, weight: Callable = lambda value: 1):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
+        self._weight = weight
+        self._total = 0
         self._data: "collections.OrderedDict" = collections.OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -57,68 +68,35 @@ class _LRUCache:
 
     def put(self, key, value) -> None:
         with self._lock:
+            if key in self._data:
+                self._total -= self._weight(self._data[key])
             self._data[key] = value
             self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+            self._total += self._weight(value)
+            while self._total > self.capacity and len(self._data) > 1:
+                self._total -= self._weight(self._data.popitem(last=False)[1])
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+            self._total = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
 
 
-class PendingResult:
-    """Handle for one queued request; ``result()`` blocks until completion."""
-
-    __slots__ = ("_event", "_value", "_error", "submitted_at", "completed_at")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._value = None
-        self._error: Optional[BaseException] = None
-        self.submitted_at = time.perf_counter()
-        self.completed_at: Optional[float] = None
-
-    def _finish(self, value=None, error: Optional[BaseException] = None) -> None:
-        self._value = value
-        self._error = error
-        self.completed_at = time.perf_counter()
-        self._event.set()
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None):
-        if not self._event.wait(timeout):
-            raise TimeoutError("request did not complete in time")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    @property
-    def latency_seconds(self) -> float:
-        if self.completed_at is None:
-            raise RuntimeError("request not completed")
-        return self.completed_at - self.submitted_at
-
-
-class _Request:
-    __slots__ = ("graph", "vector", "extra", "finalize", "pending")
-
-    def __init__(self, graph, vector, extra, finalize, pending):
-        self.graph = graph
-        self.vector = vector
-        self.extra = extra
-        self.finalize = finalize          # index -> response value
-        self.pending = pending
+def _only(answers: list):
+    if isinstance(answers[0], Exception):
+        raise answers[0]
+    return answers[0]
 
 
 class InferenceEngine:
     """Batched, cached serving front-end for one fitted tuner/mapper."""
 
     def __init__(self, predictor: Union[MGATuner, DeviceMapper],
-                 max_batch_size: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 512, memoize_results: bool = True,
+                 max_batch_size: int = 32, cache_size: int = 512,
                  drift_monitor=None):
         if not isinstance(predictor, (MGATuner, DeviceMapper)):
             raise TypeError("predictor must be an MGATuner or DeviceMapper")
@@ -131,21 +109,20 @@ class InferenceEngine:
         #: published training-distribution sketch
         self.drift_monitor = drift_monitor
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1e3
         self.cache = _LRUCache(cache_size)
-        self.results = _LRUCache(cache_size) if memoize_results else None
+        self.results = _LRUCache(cache_size)
         # block-diagonal graph batches (and their sorted edge layouts) are
-        # deterministic per graph tuple: repeated micro-batches of the same
-        # hot kernels skip batch construction entirely.  The key is the
+        # deterministic per graph tuple: repeated batches of the same hot
+        # kernels skip batch construction entirely.  The key is the
         # *ordered* id tuple (batching is order sensitive), so entries only
-        # pay off for recurring compositions — keep the capacity small to
-        # bound the retained batches under non-repeating traffic
-        self._batch_cache = _LRUCache(min(cache_size, 64))
-        self._batch_hits = 0
-        self._batch_misses = 0
-        self._queue: "collections.deque[_Request]" = collections.deque()
-        self._cond = threading.Condition()
-        self._running = True
+        # pay off for recurring compositions — keep the capacity small, and
+        # count it in graphs, to bound the retained batches under
+        # non-repeating traffic (64 batches of a daemon's 16 requests held
+        # ~100 MB per worker)
+        self._batch_cache = _LRUCache(min(cache_size, 64),
+                                      weight=lambda hit: len(hit[0]))
+        self._lock = threading.Lock()          # predict + the batch cache
+        self._closed = False
         self._stats_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
@@ -154,12 +131,9 @@ class InferenceEngine:
         self._batched_requests = 0
         self._max_batch_seen = 0
         self._latency_sum = 0.0
-        self._worker = threading.Thread(target=self._serve_loop,
-                                        name="repro-serve-engine", daemon=True)
-        self._worker.start()
 
     # ------------------------------------------------------------------
-    # request preparation (runs on the caller's thread, cache-memoised)
+    # feature preparation (cache-memoised)
     # ------------------------------------------------------------------
     def _tune_features(self, spec: KernelSpec, scale: float):
         tuner = self.predictor
@@ -175,179 +149,150 @@ class InferenceEngine:
                               for name in tuner.counter_names])
             cached = (graph, vector, extra, dict(record.counters))
             self.cache.put(key, cached)
-        return cached
-
-    def _map_features(self, spec: KernelSpec):
-        key = ("map", spec.uid, spec.model.value)
-        cached = self.cache.get(key)
-        if cached is None:
-            cached = self.predictor.extractor.extract(spec)
-            self.cache.put(key, cached)
-        return cached
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def submit_tune(self, spec: KernelSpec, scale: float = 1.0) -> PendingResult:
-        """Queue one OpenMP tuning request; returns immediately."""
-        if not isinstance(self.predictor, MGATuner):
-            raise TypeError("this engine serves a DeviceMapper, not a tuner")
-        pending = PendingResult()
-        key = ("tune", spec.uid, spec.model.value, float(scale))
-        if self._try_memoized(key, pending):
-            return pending
-        graph, vector, extra, counters = self._tune_features(spec, scale)
+        graph, vector, extra, counters = cached
         if self.drift_monitor is not None:
             self.drift_monitor.observe(
                 tune_feature_vector(
                     vector, counters,
                     self.drift_monitor.baseline.counter_names),
                 graph=graph)
-        configs = self.predictor.configs
+        return cached
 
-        def finalize(index: int):
-            if self.results is not None:
-                self.results.put(key, (index, counters))
-            return configs[index], dict(counters)
-
-        self._enqueue(_Request(graph, vector, extra, finalize, pending))
-        return pending
-
-    def tune(self, spec: KernelSpec, scale: float = 1.0
-             ) -> Tuple[OMPConfig, Dict[str, float]]:
-        """Blocking :meth:`MGATuner.tune` equivalent (batched under the hood)."""
-        return self.submit_tune(spec, scale).result()
-
-    def submit_map(self, spec: KernelSpec, transfer_bytes: float,
-                   wgsize: int) -> PendingResult:
-        """Queue one CPU/GPU mapping request; returns immediately."""
-        if not isinstance(self.predictor, DeviceMapper):
-            raise TypeError("this engine serves an MGATuner, not a mapper")
-        pending = PendingResult()
-        key = ("map", spec.uid, spec.model.value, float(transfer_bytes),
-               int(wgsize))
-        if self._try_memoized(key, pending):
-            return pending
-        graph, vector = self._map_features(spec)
+    def _map_features(self, spec: KernelSpec, transfer_bytes: float,
+                      wgsize: int):
+        key = ("map", spec.uid, spec.model.value)
+        cached = self.cache.get(key)
+        if cached is None:
+            cached = self.predictor.extractor.extract(spec)
+            self.cache.put(key, cached)
+        graph, vector = cached
         if self.drift_monitor is not None:
             self.drift_monitor.observe(
                 map_feature_vector(vector, transfer_bytes, wgsize),
                 graph=graph)
         extra = xp.array([xp.log1p(float(transfer_bytes)),
                           xp.log1p(float(wgsize))])
+        return graph, vector, extra, None
 
-        def finalize(index: int):
-            if self.results is not None:
-                self.results.put(key, (index, None))
-            return index
+    # ------------------------------------------------------------------
+    # public API
+    # ------------------------------------------------------------------
+    def tune_many(self, requests: Sequence[Tuple[KernelSpec, float]]
+                  ) -> List[Tuple[OMPConfig, Dict[str, float]]]:
+        """Answer (spec, scale) OpenMP tuning requests, in request order.
 
-        self._enqueue(_Request(graph, vector, extra, finalize, pending))
-        return pending
+        A request whose features cannot be prepared gets its exception in
+        place of an answer, and the others are still answered; a failing
+        model forward raises for the whole call.
+        """
+        if not isinstance(self.predictor, MGATuner):
+            raise TypeError("this engine serves a DeviceMapper, not a tuner")
+        configs = self.predictor.configs
+        return self._answer(
+            [(("tune", spec.uid, spec.model.value, float(scale)),
+              (spec, scale)) for spec, scale in requests],
+            self._tune_features,
+            lambda index, counters: (configs[index], dict(counters)))
+
+    def map_many(self, requests: Sequence[Tuple[KernelSpec, float, int]]
+                 ) -> List[int]:
+        """Answer (spec, transfer_bytes, wgsize) CPU/GPU mapping requests
+        (0 = CPU, 1 = GPU), in request order; failures as in
+        :meth:`tune_many`."""
+        if not isinstance(self.predictor, DeviceMapper):
+            raise TypeError("this engine serves an MGATuner, not a mapper")
+        return self._answer(
+            [(("map", spec.uid, spec.model.value, float(transfer_bytes),
+               int(wgsize)), (spec, transfer_bytes, wgsize))
+             for spec, transfer_bytes, wgsize in requests],
+            self._map_features, lambda index, _: index)
+
+    def tune(self, spec: KernelSpec, scale: float = 1.0
+             ) -> Tuple[OMPConfig, Dict[str, float]]:
+        """:meth:`MGATuner.tune` equivalent: a one-request :meth:`tune_many`
+        that raises its request's failure."""
+        return _only(self.tune_many([(spec, scale)]))
 
     def map_device(self, spec: KernelSpec, transfer_bytes: float,
                    wgsize: int) -> int:
-        """Blocking :meth:`DeviceMapper.map_device` equivalent."""
-        return self.submit_map(spec, transfer_bytes, wgsize).result()
-
-    def tune_many(self, requests: Sequence[Tuple[KernelSpec, float]]
-                  ) -> List[Tuple[OMPConfig, Dict[str, float]]]:
-        """Submit many (spec, scale) requests at once and wait for all."""
-        handles = [self.submit_tune(spec, scale) for spec, scale in requests]
-        return [h.result() for h in handles]
+        """:meth:`DeviceMapper.map_device` equivalent: a one-request
+        :meth:`map_many` that raises its request's failure."""
+        return _only(self.map_many([(spec, transfer_bytes, wgsize)]))
 
     # ------------------------------------------------------------------
-    def _try_memoized(self, key, pending: PendingResult) -> bool:
-        """Answer from the response cache if this exact request was served."""
-        if self.results is None:
-            return False
-        hit = self.results.get(key)
-        if hit is None:
-            return False
-        index, counters = hit
-        if key[0] == "tune":
-            value = (self.predictor.configs[index], dict(counters))
-        else:
-            value = index
-        pending._finish(value=value)
-        with self._stats_lock:
-            self._requests += 1
-            self._memoized += 1
-            self._latency_sum += pending.latency_seconds
-        return True
+    def _answer(self, keyed: List[Tuple[tuple, tuple]],
+                prepare: Callable, finish: Callable[[int, object], object]
+                ) -> list:
+        """Memo hits, then feature preparation, then one predict per chunk.
 
-    def _enqueue(self, request: _Request) -> None:
-        with self._cond:
-            if not self._running:
-                raise RuntimeError("engine is closed")
-            self._queue.append(request)
-            self._cond.notify_all()
-        with self._stats_lock:
-            self._requests += 1
-
-    def _serve_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and self._running:
-                    self._cond.wait()
-                if not self._queue and not self._running:
-                    return
-                # gather a micro-batch: wait (briefly) for co-arriving work
-                deadline = time.perf_counter() + self.max_wait_s
-                while len(self._queue) < self.max_batch_size and self._running:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                batch = [self._queue.popleft()
-                         for _ in range(min(len(self._queue),
-                                            self.max_batch_size))]
-            self._run_batch(batch)
+        ``keyed`` holds each request's memo key and ``prepare`` arguments;
+        ``prepare`` returns ``(graph, vector, extra, payload)`` and the
+        memo stores ``(index, payload)``, which ``finish`` turns into the
+        answer.
+        """
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        started = time.perf_counter()
+        answers: list = [None] * len(keyed)
+        misses, chunks, memoized = [], [], 0
+        try:
+            for position, (key, args) in enumerate(keyed):
+                hit = self.results.get(key)
+                if hit is not None:
+                    answers[position] = finish(*hit)
+                    memoized += 1
+                    continue
+                try:
+                    misses.append((position, key) + tuple(prepare(*args)))
+                except Exception as exc:
+                    answers[position] = exc
+            for start in range(0, len(misses), self.max_batch_size):
+                chunk = misses[start:start + self.max_batch_size]
+                indices = self._predict(chunk)
+                for (position, key, *_, payload), index in zip(chunk, indices):
+                    memo = (int(index), payload)
+                    self.results.put(key, memo)
+                    answers[position] = finish(*memo)
+                chunks.append(len(chunk))
+        finally:
+            # a synchronous call answers all of its requests at return
+            completed = memoized + sum(chunks)
+            with self._stats_lock:
+                self._requests += len(keyed)
+                self._errors += len(keyed) - completed
+                self._memoized += memoized
+                self._batches += len(chunks)
+                self._batched_requests += sum(chunks)
+                self._max_batch_seen = max([self._max_batch_seen] + chunks)
+                self._latency_sum += completed * (time.perf_counter() - started)
+        return answers
 
     def _batched_graph(self, graphs):
         """Memoised ``batch_graphs`` keyed on the identity of the graph tuple.
 
         The per-request feature cache returns the *same* graph objects for
-        repeated (kernel, input) requests, so identical micro-batches recur;
-        the stored graph list keeps the ids alive, and the identity re-check
+        repeated (kernel, input) requests, so identical batches recur; the
+        stored graph list keeps the ids alive, and the identity re-check
         guards against id reuse after an eviction.
         """
         key = tuple(id(g) for g in graphs)
         hit = self._batch_cache.get(key)
         if hit is not None and all(a is b for a, b in zip(hit[0], graphs)):
-            with self._stats_lock:
-                self._batch_hits += 1
             return hit[1]
         batched = batch_graphs(graphs)
         self._batch_cache.put(key, (list(graphs), batched))
-        with self._stats_lock:
-            self._batch_misses += 1
         return batched
 
-    def _run_batch(self, batch: List[_Request]) -> None:
-        try:
-            graphs = [r.graph for r in batch]
-            vectors = xp.stack([r.vector for r in batch])
-            extra = xp.stack([r.extra for r in batch])
-            model = self.predictor.model
+    def _predict(self, chunk):
+        """One :meth:`MGAModel.predict` over a chunk of prepared misses."""
+        graphs = [entry[2] for entry in chunk]
+        vectors = xp.stack([entry[3] for entry in chunk])
+        extra = xp.stack([entry[4] for entry in chunk])
+        model = self.predictor.model
+        with self._lock:
             batched = (self._batched_graph(graphs)
                        if model.modalities.use_graph else None)
-            indices = model.predict(graphs, vectors, extra, batch=batched)
-        except BaseException as exc:           # pragma: no cover - defensive
-            for request in batch:
-                request.pending._finish(error=exc)
-            with self._stats_lock:
-                self._errors += len(batch)
-            return
-        for request, index in zip(batch, indices):
-            try:
-                request.pending._finish(value=request.finalize(int(index)))
-            except BaseException as exc:       # pragma: no cover - defensive
-                request.pending._finish(error=exc)
-        with self._stats_lock:
-            self._batches += 1
-            self._batched_requests += len(batch)
-            self._max_batch_seen = max(self._max_batch_seen, len(batch))
-            self._latency_sum += sum(r.pending.latency_seconds for r in batch)
+            return model.predict(graphs, vectors, extra, batch=batched)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
@@ -355,8 +300,8 @@ class InferenceEngine:
         with self._stats_lock:
             completed = self._batched_requests + self._memoized
             lookups = self.cache.hits + self.cache.misses
-            result_lookups = (self.results.hits + self.results.misses
-                              if self.results is not None else 0)
+            result_lookups = self.results.hits + self.results.misses
+            batch = self._batch_cache
             return {
                 "requests": self._requests,
                 "completed": completed,
@@ -370,14 +315,11 @@ class InferenceEngine:
                 "cache_entries": len(self.cache),
                 "memoized_responses": self._memoized,
                 "result_cache_hit_rate": (self.results.hits
-                                          / max(1, result_lookups)
-                                          if self.results is not None else 0.0),
-                "batch_cache_hit_rate": (
-                    self._batch_hits
-                    / max(1, self._batch_hits + self._batch_misses)),
+                                          / max(1, result_lookups)),
+                "batch_cache_hit_rate": (batch.hits
+                                         / max(1, batch.hits + batch.misses)),
                 "mean_latency_ms": 1e3 * self._latency_sum / max(1, completed),
-                "drift": (self.drift_monitor.summary()
-                          if self.drift_monitor is not None else None),
+                "drift": self.drift_summary(),
             }
 
     def drift_summary(self) -> Optional[Dict[str, float]]:
@@ -388,17 +330,12 @@ class InferenceEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker; outstanding queued requests fail."""
-        with self._cond:
-            if not self._running:
-                return
-            self._running = False
-            leftover = list(self._queue)
-            self._queue.clear()
-            self._cond.notify_all()
-        self._worker.join()
-        for request in leftover:
-            request.pending._finish(error=RuntimeError("engine is closed"))
+        """Drop the caches; later calls raise ``RuntimeError``."""
+        with self._lock:
+            self._closed = True
+            self.cache.clear()
+            self.results.clear()
+            self._batch_cache.clear()
 
     def __enter__(self) -> "InferenceEngine":
         return self

@@ -166,8 +166,7 @@ class TuningService:
     """Route tuning/mapping requests to registry-published models."""
 
     def __init__(self, registry: Optional[ModelRegistry] = None,
-                 max_batch_size: int = 32,
-                 max_wait_ms: float = 2.0, cache_size: int = 512,
+                 max_batch_size: int = 32, cache_size: int = 512,
                  daemon: Optional[str] = None):
         self.registry = registry
         #: socket path of a running serve daemon; when set, ``tune`` and
@@ -178,7 +177,6 @@ class TuningService:
         self._daemon_local = threading.local()
         self._daemon_clients: list = []      # every client, for close()
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.cache_size = cache_size
         self._engines: Dict[Tuple[str, int], InferenceEngine] = {}
         self._loading: Dict[Tuple[str, int], threading.Lock] = {}
@@ -219,7 +217,7 @@ class TuningService:
                 predictor = self.registry.load(model, key[1])
                 engine = InferenceEngine(
                     predictor, max_batch_size=self.max_batch_size,
-                    max_wait_ms=self.max_wait_ms, cache_size=self.cache_size,
+                    cache_size=self.cache_size,
                     drift_monitor=self._drift_monitor(model, key[1]))
                 with self._lock:
                     self._engines[key] = engine

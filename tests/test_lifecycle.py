@@ -1,5 +1,6 @@
 """Online model lifecycle: atomic publish, hot-swap, shadow deploys, drift."""
 
+import collections
 import os
 import tempfile
 import threading
@@ -29,6 +30,7 @@ from repro.serve.drift import (
     tune_feature_vector,
 )
 from repro.simulator.microarch import COMET_LAKE_8C
+import repro.serve.daemon as daemon_module
 import repro.serve.registry as registry_module
 
 TRAIN_KW = dict(gnn_hidden=12, gnn_out=12, dae_hidden=24, dae_code=8,
@@ -74,7 +76,7 @@ def _engine_reference(registry, version, requests):
     """config labels the version's engine produces for (kernel, scale)s."""
     tuner = registry.load("m", version)
     reference = {}
-    with InferenceEngine(tuner, max_batch_size=4, max_wait_ms=1.0) as engine:
+    with InferenceEngine(tuner, max_batch_size=4) as engine:
         for uid, scale in requests:
             config, counters = engine.tune(kernel_registry.get_kernel(uid),
                                            scale)
@@ -393,6 +395,40 @@ class TestHotSwap:
 
 # ----------------------------------------------------------------------
 class TestShadowDeploys:
+    @staticmethod
+    def _dispatch_with(workers: int, busy: int, live_queued: bool):
+        """What the dispatcher forms with one shadow request queued."""
+        daemon = ServeDaemon(_socket_path(), workers=workers)
+        process = types.SimpleNamespace(is_alive=lambda: True)
+        for worker_id in range(workers):
+            worker = daemon_module._Worker(worker_id, process, None)
+            worker.busy_with = 100 + worker_id if worker_id < busy else None
+            daemon._pool[worker_id] = worker
+        route = ("shadow", "m", 2)
+        daemon._shadow_routes[route] = collections.deque(
+            [daemon_module._PendingRequest(0, "tune", {}, None, route)])
+        daemon._shadow_queued = 1
+        if live_queued:         # queued, but not flushable for 10 s
+            live = ("model", "m", None)
+            daemon._routes[live] = collections.deque(
+                [daemon_module._PendingRequest(1, "tune", {}, None, live)])
+            daemon._queued = 1
+            daemon.deadline_s = 10.0
+        return daemon._form_batch_locked()
+
+    @pytest.mark.parametrize("workers, busy, live_queued, dispatched", [
+        (2, 0, False, True),
+        (2, 1, False, False),   # the last idle worker stays for live work
+        (2, 0, True, True),
+        (2, 1, True, False),
+        (1, 0, False, True),    # a lone worker drains between requests
+        (1, 0, True, False),
+    ])
+    def test_shadow_batch_leaves_a_worker_for_live_traffic(
+            self, workers, busy, live_queued, dispatched):
+        formed = self._dispatch_with(workers, busy, live_queued)
+        assert (formed is not None) == dispatched
+
     def _drive(self, path, count, kernel="polybench/gemm", scale=1.0):
         with DaemonClient(path) as client:
             return [_tune(client, kernel=kernel, scale=scale + 0.01 * i)

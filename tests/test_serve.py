@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DeviceMapper, MGATuner
 from repro.datasets import DevMapDatasetBuilder
@@ -161,6 +164,18 @@ class TestDeviceMapperFixes:
             DeviceMapper().map_device(spec, 1e6, 64)
 
 
+ENGINE_POOL = [(kernel_registry.get_kernel(uid), scale)
+               for uid in ("polybench/atax", "polybench/gemm", "rodinia/kmeans")
+               for scale in (0.5, 1.5)]
+
+
+@pytest.fixture(scope="module")
+def pool_tunes(trained_tuner):
+    """Per-request ``MGATuner.tune`` answers for every ENGINE_POOL entry."""
+    tuner, _ = trained_tuner
+    return [tuner.tune(spec, scale=scale) for spec, scale in ENGINE_POOL]
+
+
 # ----------------------------------------------------------------------
 class TestInferenceEngine:
     def test_batched_results_match_naive_tune(self, trained_tuner):
@@ -170,7 +185,7 @@ class TestInferenceEngine:
                              "rodinia/kmeans")]
         requests = [(spec, scale) for spec in specs for scale in (0.5, 1.5)]
         naive = [tuner.tune(spec, scale=scale) for spec, scale in requests]
-        with InferenceEngine(tuner, max_wait_ms=1.0) as engine:
+        with InferenceEngine(tuner) as engine:
             batched = engine.tune_many(requests)
             repeat = engine.tune(specs[0], scale=0.5)   # memoized path
             stats = engine.stats()
@@ -184,12 +199,86 @@ class TestInferenceEngine:
         assert stats["memoized_responses"] >= 1
         assert stats["errors"] == 0
 
+    @settings(max_examples=15, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(ENGINE_POOL) - 1),
+                          min_size=1, max_size=10),
+           max_batch_size=st.integers(1, 8))
+    def test_tune_many_equals_per_request_tune(self, trained_tuner,
+                                               pool_tunes, picks,
+                                               max_batch_size):
+        """Any multiset/order of requests, any chunking: tune_many answers
+        what MGATuner.tune answers, and a repeat is all memo hits."""
+        tuner, _ = trained_tuner
+        requests = [ENGINE_POOL[i] for i in picks]
+        naive = [pool_tunes[i] for i in picks]
+        with InferenceEngine(tuner, max_batch_size=max_batch_size) as engine:
+            first = engine.tune_many(requests)
+            before = engine.stats()
+            second = engine.tune_many(requests)
+            after = engine.stats()
+        assert first == naive
+        assert second == first
+        assert before["batches"] == -(-len(requests) // max_batch_size)
+        assert after["batches"] == before["batches"]
+        assert (after["memoized_responses"] - before["memoized_responses"]
+                == len(requests))
+
+    def test_concurrent_callers_share_one_engine(self, trained_tuner,
+                                                 pool_tunes):
+        """More caller threads than cores, a tiny switch interval: every
+        answer is right and no stats update is lost."""
+        tuner, _ = trained_tuner
+        rounds, threads = 6, 4
+        errors = []
+
+        def caller(offset):
+            try:
+                for i in range(rounds):
+                    picks = [(offset + i + j) % len(ENGINE_POOL)
+                             for j in range(3)]
+                    answers = engine.tune_many([ENGINE_POOL[k] for k in picks])
+                    assert answers == [pool_tunes[k] for k in picks]
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with InferenceEngine(tuner, max_batch_size=2) as engine:
+                workers = [threading.Thread(target=caller, args=(n,))
+                           for n in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(worker.is_alive() for worker in workers)
+                stats = engine.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        total = rounds * threads * 3
+        assert stats["requests"] == stats["completed"] == total
+        assert stats["errors"] == 0
+
+    def test_failed_request_does_not_fail_its_batch(self, trained_tuner,
+                                                    pool_tunes):
+        tuner, _ = trained_tuner
+        spec, scale = ENGINE_POOL[0]
+        with InferenceEngine(tuner) as engine:
+            answers = engine.tune_many([(spec, scale), (spec, float("nan")),
+                                        (spec, scale)])
+            with pytest.raises(ValueError):
+                engine.tune(spec, float("nan"))
+            stats = engine.stats()
+        assert answers[0] == answers[2] == pool_tunes[0]
+        assert isinstance(answers[1], ValueError)
+        assert stats["errors"] == 2 and stats["completed"] == 2
+
     def test_map_requests_match_mapper(self, trained_mapper):
         mapper, _ = trained_mapper
         specs = kernel_registry.opencl_kernels()[12:16]
-        with InferenceEngine(mapper, max_wait_ms=1.0) as engine:
-            handles = [engine.submit_map(spec, 2e6, 128) for spec in specs]
-            labels = [h.result(timeout=30) for h in handles]
+        with InferenceEngine(mapper) as engine:
+            labels = engine.map_many([(spec, 2e6, 128) for spec in specs])
         assert labels == [mapper.map_device(spec, 2e6, 128) for spec in specs]
         assert all(label in (0, 1) for label in labels)
 
@@ -199,9 +288,9 @@ class TestInferenceEngine:
         spec = kernel_registry.get_kernel("polybench/atax")
         with InferenceEngine(tuner) as engine:
             with pytest.raises(TypeError):
-                engine.submit_map(spec, 1e6, 64)
+                engine.map_many([(spec, 1e6, 64)])
         with pytest.raises(RuntimeError, match="closed"):
-            engine.submit_tune(spec)
+            engine.tune(spec)
         with pytest.raises(ValueError, match="not fitted"):
             InferenceEngine(MGATuner(COMET_LAKE_8C,
                                      [c for c in trained_tuner[0].configs]))
@@ -217,7 +306,7 @@ class TestTuningService:
         registry.publish("openmp", tuner)
         registry.publish("devmap", mapper)
 
-        with TuningService(registry, max_wait_ms=1.0) as service:
+        with TuningService(registry) as service:
             response = service.tune(TuneRequest(
                 model="openmp", kernel="polybench/atax", target_bytes=32e6))
             assert response.model == "openmp" and response.version == 1

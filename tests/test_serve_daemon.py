@@ -23,6 +23,8 @@ from repro.serve import (
     TuneRequest,
     TuningService,
 )
+from repro.serve.daemon import _execute_tune_map
+from repro.serve.service import tune_response_fields
 from repro.simulator.microarch import COMET_LAKE_8C, SKYLAKE_4114
 from repro.tuners.campaign import (
     LookupObjectiveSpec,
@@ -85,8 +87,7 @@ class TestDaemonServing:
                     for scale in (0.5, 1.0, 2.0)]
 
         tuner = ModelRegistry(registry_root).load("openmp")
-        with InferenceEngine(tuner, max_batch_size=4,
-                             max_wait_ms=1.0) as engine:
+        with InferenceEngine(tuner, max_batch_size=4) as engine:
             reference = [engine.tune(spec, scale)
                          for spec, scale in requests]
 
@@ -141,6 +142,78 @@ class TestDaemonServing:
             assert "debug ops are disabled" in err.value.message
             # the connection survives every error response
             assert client.ping()
+
+
+# ----------------------------------------------------------------------
+class TestWorkerBatch:
+    """A worker's tune/map batch, driven in-process (no daemon)."""
+
+    REQUESTS = [(uid, scale) for uid in ("polybench/atax", "polybench/gemm",
+                                         "rodinia/kmeans")
+                for scale in (0.5, 2.0)]
+
+    def test_daemon_batch_is_one_engine_batch(self, registry_root):
+        requests = [{"op": "tune", "model": "openmp", "kernel": uid,
+                     "scale": scale} for uid, scale in self.REQUESTS]
+        with TuningService(ModelRegistry(registry_root),
+                           max_batch_size=16) as service:
+            results, _ = _execute_tune_map(service, requests)
+            stats = service.stats()["engines"]["openmp@1"]
+        assert all(result["ok"] for result in results)
+        assert stats["batches"] == 1
+        assert stats["mean_batch_size"] == len(requests)
+
+    def test_bad_requests_fail_alone(self, registry_root):
+        good = [{"op": "tune", "model": "openmp", "kernel": uid,
+                 "scale": scale} for uid, scale in self.REQUESTS[:2]]
+        requests = [
+            good[0],
+            {"op": "tune", "model": "ghost", "kernel": "polybench/gemm"},
+            {"op": "map", "model": "openmp", "kernel": "polybench/gemm",
+             "transfer_bytes": 1e6, "wgsize": 64},
+            {"op": "tune", "model": "openmp", "kernel": "polybench/gemm",
+             "scale": 1.0, "target_bytes": 1e6},
+            good[1],
+        ]
+        with TuningService(ModelRegistry(registry_root)) as service:
+            results, _ = _execute_tune_map(service, requests)
+        codes = [result["error"]["code"] if not result["ok"] else "ok"
+                 for result in results]
+        assert codes == ["ok", "bad_request", "bad_request", "bad_request",
+                         "ok"]
+
+        tuner = ModelRegistry(registry_root).load("openmp")
+        with InferenceEngine(tuner) as engine:
+            for result, request in zip((results[0], results[4]), good):
+                spec = kernel_registry.get_kernel(request["kernel"])
+                reference = tune_response_fields(
+                    "openmp", 1, request["kernel"], request["scale"],
+                    *engine.tune(spec, request["scale"]))
+                assert json.dumps(result["result"], sort_keys=True) == \
+                    json.dumps(reference, sort_keys=True)
+
+    def test_feature_and_forward_failures(self, registry_root, monkeypatch):
+        good = {"op": "tune", "model": "openmp", "kernel": "polybench/atax",
+                "scale": 0.5}
+        unprofilable = dict(good, scale=float("nan"))
+        with TuningService(ModelRegistry(registry_root)) as service:
+            results, _ = _execute_tune_map(service, [good, unprofilable,
+                                                     good])
+            assert [r["ok"] for r in results] == [True, False, True]
+            assert results[1]["error"]["code"] == "bad_request"
+
+            def broken_predict(*args, **kwargs):
+                raise RuntimeError("forward failed")
+            engine, _ = service.engine("openmp")
+            monkeypatch.setattr(engine.predictor.model, "predict",
+                                broken_predict)
+            cold = dict(good, scale=3.0)
+            results, _ = _execute_tune_map(service, [
+                cold, {"op": "tune", "model": "ghost",
+                       "kernel": "polybench/atax"}, dict(cold, scale=4.0)])
+        assert [r["error"]["code"] for r in results] == \
+            ["internal", "bad_request", "internal"]
+        assert "forward failed" in results[0]["error"]["message"]
 
 
 # ----------------------------------------------------------------------
