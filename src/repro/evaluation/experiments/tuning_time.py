@@ -59,8 +59,7 @@ def _search(ctx, inputs, *, arch, kernel_uid, target_bytes, budget, seed):
                               tuner_config={"budget": budget, "seed": seed},
                               space=space_config, objective=objective)
                 for _, strategy in _SEARCH_ORDER]
-    outcomes = run_search_sessions(sessions, workers=ctx.workers,
-                                   daemon=ctx.daemon)
+    outcomes = run_search_sessions(sessions, workers=ctx.workers)
     results: Dict[str, Dict[str, float]] = {}
     for (display, _), outcome in zip(_SEARCH_ORDER, outcomes):
         results[display] = {

@@ -34,10 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", help="spec name (see `list`)")
     run.add_argument("--workers", type=int, default=1,
                      help="worker processes for tuning-stage fan-out")
-    run.add_argument("--daemon", default=None, metavar="SOCKET",
-                     help="send tuning-stage search sessions to a running "
-                          "`python -m repro.serve daemon` instead of a "
-                          "local pool (default: $REPRO_SERVE_SOCKET)")
     run.add_argument("--quick", action="store_true",
                      help="apply the spec's quick (smoke) parameter profile")
     run.add_argument("--cache", default=None, metavar="DIR",
@@ -144,7 +140,6 @@ def _resolve_experiment(name: str):
 def _cmd_run(args) -> int:
     from repro.pipeline.codec import to_jsonable
     from repro.pipeline.runner import (
-        DAEMON_ENV,
         normalize_params,
         quick_requested,
         run_experiment,
@@ -167,7 +162,6 @@ def _cmd_run(args) -> int:
         quick=quick,
         workers=args.workers,
         cache_dir=_cache_dir(args),
-        daemon=args.daemon or os.environ.get(DAEMON_ENV) or None,
     )
     stage_rows = [
         {"name": s.name, "kind": s.kind, "impl": s.impl, "cache": s.cache,

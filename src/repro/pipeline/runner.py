@@ -28,25 +28,17 @@ from repro.simulator.microarch import GPUDevice, MicroArch
 #: ``run()`` shims stay environment-independent
 QUICK_ENV = "REPRO_EXP_QUICK"
 
-#: default daemon socket for ``python -m repro run`` (overridden by
-#: ``--daemon``); honoured by the CLI only, like :data:`QUICK_ENV`
-DAEMON_ENV = "REPRO_SERVE_SOCKET"
-
 
 @dataclasses.dataclass(frozen=True)
 class StageContext:
     """Runtime knobs stage implementations may consult.
 
     Deliberately *not* part of the cache key: stage outputs must be
-    invariant under ``workers`` and under local-vs-daemon execution (the
-    campaign sessions guarantee both).  ``daemon`` is the socket path of a
-    running :class:`~repro.serve.daemon.ServeDaemon`; tuning stages send
-    their search sessions there instead of forking a local pool.
+    invariant under ``workers`` (the campaign sessions guarantee it).
     """
 
     workers: int = 1
     quick: bool = False
-    daemon: Optional[str] = None
 
 
 @dataclasses.dataclass
@@ -109,13 +101,14 @@ def run_experiment(experiment: Union[str, ExperimentSpec], *,
                    overrides: Optional[Mapping[str, Any]] = None,
                    quick: bool = False, workers: int = 1,
                    cache_dir: Optional[Union[str, os.PathLike]] = None,
-                   daemon: Optional[str] = None,
                    ) -> ExperimentRun:
     """Run one experiment spec through the stage-cached pipeline.
 
     ``cache_dir=None`` disables stage caching entirely (the legacy ``run()``
     shims use this, so they always recompute).  ``quick=True`` applies the
     spec's quick profile underneath any explicit ``overrides``.
+    ``workers`` sizes the local process pool tuning stages fan their search
+    sessions out over; results do not depend on it.
     """
     from repro.pipeline.registry import get_experiment
 
@@ -128,8 +121,7 @@ def run_experiment(experiment: Union[str, ExperimentSpec], *,
 
     params = spec.resolve(normalize_params(overrides or {}), quick=quick)
     params = normalize_params(params)
-    ctx = StageContext(workers=max(1, int(workers)), quick=quick,
-                       daemon=daemon)
+    ctx = StageContext(workers=max(1, int(workers)), quick=quick)
     cache = StageCache(cache_dir) if cache_dir is not None else None
 
     outputs: Dict[str, Any] = {}

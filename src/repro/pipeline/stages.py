@@ -185,8 +185,7 @@ def search_speedups_stage(ctx, inputs, *, split, budget, seed,
                     space=space_config,
                     objective=objective,
                 ))
-    outcomes = iter(run_search_sessions(sessions, workers=ctx.workers,
-                                        daemon=ctx.daemon))
+    outcomes = iter(run_search_sessions(sessions, workers=ctx.workers))
 
     speedups: Dict[str, List[np.ndarray]] = {d: [None] * len(splits)
                                              for d, _ in tuners}

@@ -107,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="shorthand for --socket tcp://HOST:PORT "
                              "(port 0 binds an ephemeral port)")
     daemon.add_argument("--root", default=None,
-                        help="model registry root (omit for a session-only "
-                             "daemon)")
+                        help="model registry root that tune/map requests "
+                             "are answered from (required for serving)")
     daemon.add_argument("--workers", type=int, default=2,
                         help="worker processes, each holding warm models")
     daemon.add_argument("--max-batch", type=int, default=16,

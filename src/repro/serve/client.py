@@ -36,7 +36,6 @@ from repro.serve.protocol import (
     ERR_OVERLOADED,
     LineChannel,
     connect_address,
-    session_to_wire,
 )
 from repro.serve.service import (
     MapRequest,
@@ -177,14 +176,6 @@ class DaemonClient:
             model=result["model"], version=result["version"],
             kernel=result["kernel"], device=result["device"],
             label=result["label"], latency_ms=result["latency_ms"])
-
-    def run_session(self, session):
-        """Execute one :class:`SearchSession` on the daemon's worker pool."""
-        from repro.serve.protocol import outcome_from_wire
-
-        result = self.request({"op": "session",
-                               "session": session_to_wire(session)})
-        return outcome_from_wire(result)
 
     def stats(self) -> Dict[str, Any]:
         return self.request({"op": "stats"})

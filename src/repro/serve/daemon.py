@@ -24,6 +24,8 @@ of growing the queue without bound (the client backs off; latency stays
 bounded).  A monitor thread heals the pool — if a worker dies mid-batch its
 requests are retried once on another worker (the deliberately-crashing
 debug op is failed, not retried) and a replacement process is spawned.
+A worker whose daemon is SIGKILLed notices within ``ORPHAN_CHECK_S`` of
+going idle and exits instead of waiting on its task queue forever.
 ``shutdown`` drains: queued and in-flight work completes, workers stop
 cleanly, then the socket disappears.
 
@@ -51,6 +53,7 @@ from __future__ import annotations
 import collections
 import multiprocessing
 import os
+import queue
 import socket
 import threading
 import time
@@ -73,7 +76,6 @@ from repro.serve.protocol import (
     ERR_WORKER_CRASHED,
     LineChannel,
     ProtocolError,
-    connect_address,
     create_listener,
     error_response,
     format_address,
@@ -86,7 +88,9 @@ from repro.serve.protocol import (
 #: per-request retry budget after a worker crash
 MAX_ATTEMPTS = 2
 
-_ROUTE_SESSION = ("session",)
+#: how often an idle worker checks that its daemon is still alive
+ORPHAN_CHECK_S = 1.0
+
 _ROUTE_DEBUG = ("debug",)
 
 
@@ -182,31 +186,17 @@ def _execute_tune_map(service, requests: List[Dict[str, Any]]
     return results, ({"drift": drift} if drift else {})
 
 
-def _execute_one(service, request: Dict[str, Any],
-                 debug_ops: bool) -> Dict[str, Any]:
-    from repro.serve.protocol import (
-        outcome_to_wire,
-        session_from_wire,
-    )
-    from repro.tuners.campaign import run_search_session
-
-    op = request["op"]
-    if op == "session":
-        outcome = run_search_session(session_from_wire(request["session"]))
-        return {"ok": True, "result": outcome_to_wire(outcome)}
-    if op == "_sleep":
-        if not debug_ops:
-            raise ValueError("debug ops are disabled (start the daemon "
-                             "with --debug-ops)")
+def _execute_debug(request: Dict[str, Any],
+                   debug_ops: bool) -> Dict[str, Any]:
+    """The ``_sleep`` / ``_crash`` ops that tests drive the pool with."""
+    if not debug_ops:
+        raise ValueError("debug ops are disabled (start the daemon "
+                         "with --debug-ops)")
+    if request["op"] == "_sleep":
         seconds = float(request.get("seconds", 0.1))
         time.sleep(seconds)
         return {"ok": True, "result": {"slept": seconds}}
-    if op == "_crash":
-        if not debug_ops:
-            raise ValueError("debug ops are disabled (start the daemon "
-                             "with --debug-ops)")
-        os._exit(17)
-    raise ValueError(f"unroutable op {op!r}")
+    os._exit(17)
 
 
 def _run_control(service, worker_id: int, control_id: int,
@@ -251,8 +241,14 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
                           f"preload failed: {type(exc).__name__}: {exc}"))
         return
     result_queue.put(("ready", worker_id, os.getpid()))
+    parent = os.getppid()
     while True:
-        message = task_queue.get()
+        try:
+            message = task_queue.get(timeout=ORPHAN_CHECK_S)
+        except queue.Empty:
+            if os.getppid() != parent:
+                break                # the daemon was killed: don't linger
+            continue
         if message[0] == "stop":
             break
         if message[0] == "control":
@@ -288,7 +284,7 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
                     results.append({})       # placeholder, filled below
             else:
                 try:
-                    results.append(_execute_one(service, request, debug_ops))
+                    results.append(_execute_debug(request, debug_ops))
                 except Exception as exc:
                     results.append(_failure(ERR_BAD_REQUEST, exc))
         if tune_map:
@@ -440,17 +436,6 @@ class ServeDaemon:
         """Bind the socket, spawn + warm the workers, start the dispatcher."""
         if self._running:
             raise RuntimeError("daemon already started")
-        if self.scheme == "unix" and os.path.exists(self._location):
-            # a crashed daemon leaves a dead socket file behind — but a
-            # *live* one must not be hijacked: probe before unlinking
-            try:
-                probe = connect_address(self.address, timeout=1.0)
-            except OSError:
-                os.unlink(self._location)        # stale: nobody listening
-            else:
-                probe.close()
-                raise RuntimeError(
-                    f"another daemon is already serving {self.address}")
         # bind before spawning: a refused bind must not leak worker processes
         listener, self.address = create_listener(self.address)
         self._listener = listener
@@ -832,8 +817,6 @@ class ServeDaemon:
     def _route_of(document: Dict[str, Any], op: str) -> tuple:
         if op in ("tune", "map"):
             return ("model", document["model"], document.get("version"))
-        if op == "session":
-            return _ROUTE_SESSION
         return _ROUTE_DEBUG
 
     def _admit(self, request: _PendingRequest) -> None:

@@ -19,15 +19,14 @@ by the *address scheme*:
     :func:`create_listener` resolves into the returned address).
 
 :func:`parse_address`, :func:`connect_address` and :func:`create_listener`
-are the only places that know the difference; daemon, router and client all
-take address strings.
+are the only places that know the difference; daemon, router, fleet
+coordinator and client all take address strings.  :func:`create_listener`
+also owns the one stale-``AF_UNIX``-file check every server relies on.
 
 Request ops
 -----------
 ``tune``      ``{"op": "tune", "model": ..., "kernel": ..., "scale": ...}``
 ``map``       ``{"op": "map", "model": ..., "kernel": ..., ...}``
-``session``   one self-contained black-box search session (see
-              :func:`session_to_wire`)
 ``stats``     daemon introspection: queue depth, batch histogram, latency,
               swap counters, shadow disagreement, drift scores
 ``swap``      hot-swap control: pin a route to a version, roll back, or
@@ -61,7 +60,7 @@ import numpy as np
 from repro.serve import faults
 
 #: requests the dispatcher batches and hands to worker processes
-BATCHED_OPS = ("tune", "map", "session", "_crash", "_sleep")
+BATCHED_OPS = ("tune", "map", "_crash", "_sleep")
 
 #: requests the front-end answers inline (never queued, never shed)
 INLINE_OPS = ("stats", "ping", "shutdown")
@@ -153,11 +152,21 @@ def create_listener(address: str,
     """A bound + listening socket and its *resolved* address string.
 
     TCP port 0 binds an ephemeral port; the returned address carries the
-    port the kernel actually assigned.  Stale ``AF_UNIX`` socket files are
-    the caller's concern (only it knows whether a live peer may own them).
+    port the kernel actually assigned.  An ``AF_UNIX`` socket file left
+    behind by a crashed server is probed first: nobody answering means it
+    is stale and it is unlinked, while a live server raises
+    :class:`RuntimeError` instead of being hijacked.
     """
     scheme, location = parse_address(address)
     if scheme == "unix":
+        if os.path.exists(location):
+            try:
+                probe = connect_address(address, timeout=1.0)
+            except OSError:
+                os.unlink(location)          # stale: nobody listening
+            else:
+                probe.close()
+                raise RuntimeError(f"{address} already has a live server")
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             listener.bind(location)
@@ -254,7 +263,7 @@ class LineChannel:
 
 
 # ----------------------------------------------------------------------
-# objective + search-session payloads (the tuning fan-out units)
+# objective payloads (what a fleet lease ships to its worker)
 # ----------------------------------------------------------------------
 def objective_to_wire(objective) -> Dict[str, Any]:
     """An objective spec as a pure-JSON tree.
@@ -286,43 +295,6 @@ def objective_from_wire(data: Dict[str, Any]):
     if kind == "sim":
         return SimObjectiveSpec.from_config(data["spec"])
     raise ProtocolError(f"unknown objective type {kind!r}")
-
-
-def session_to_wire(session) -> Dict[str, Any]:
-    """A :class:`~repro.tuners.campaign.SearchSession` as a pure-JSON tree."""
-    return {"tuner_name": session.tuner_name,
-            "tuner_config": dict(session.tuner_config),
-            "space": list(session.space),
-            "objective": objective_to_wire(session.objective)}
-
-
-def session_from_wire(data: Dict[str, Any]):
-    from repro.tuners.campaign import SearchSession
-
-    return SearchSession(tuner_name=data["tuner_name"],
-                         tuner_config=dict(data["tuner_config"]),
-                         space=list(data["space"]),
-                         objective=objective_from_wire(data["objective"]))
-
-
-def outcome_to_wire(outcome) -> Dict[str, Any]:
-    """A :class:`~repro.tuners.campaign.SessionOutcome` as a JSON tree."""
-    return {"best_index": int(outcome.best_index),
-            "best_time": float(outcome.best_time),
-            "evaluations": int(outcome.evaluations),
-            "indices": [int(i) for i in outcome.indices],
-            "times": [float(t) for t in outcome.times]}
-
-
-def outcome_from_wire(data: Dict[str, Any]):
-    from repro.tuners.campaign import SessionOutcome
-
-    return SessionOutcome(
-        best_index=int(data["best_index"]),
-        best_time=float(data["best_time"]),
-        evaluations=int(data["evaluations"]),
-        indices=np.asarray(data["indices"], dtype=np.int64),
-        times=np.asarray(data["times"], dtype=np.float64))
 
 
 def percentile(sorted_values, fraction: float) -> float:
@@ -367,8 +339,6 @@ def validate_request(document: Dict[str, Any]) -> Tuple[Any, str]:
             if not isinstance(document.get(field), (int, float)):
                 raise ProtocolError(f"op 'map' requires a numeric "
                                     f"{field!r} field")
-    if op == "session" and not isinstance(document.get("session"), dict):
-        raise ProtocolError("op 'session' requires a 'session' object")
     if op in FLEET_OPS and not isinstance(document.get("worker"), str):
         raise ProtocolError(f"op {op!r} requires a string 'worker' field")
     if op in ("heartbeat", "submit"):

@@ -482,8 +482,6 @@ class ServeRouter:
         if op in ("tune", "map"):
             return route_label(("model", document["model"],
                                 document.get("version")))
-        if op == "session":
-            return "session"
         return "debug"
 
     # ------------------------------------------------------------------

@@ -1,11 +1,18 @@
-"""Parallel tuning campaigns: multiprocess search with checkpoint/resume.
+"""Parallel tuning campaigns: one ask/evaluate/tell loop, checkpoint/resume.
 
 A *campaign* drives one black-box tuner over one search space with the
 batch-synchronous ask/evaluate/tell split of :class:`~repro.tuners.base.
-BlackBoxTuner`: the tuner proposes ``batch_size`` configurations, a
-:class:`multiprocessing.Pool` evaluates them concurrently, and the results
-are observed in proposal order.  Three properties make this safe to
-parallelise and to interrupt:
+BlackBoxTuner`: the tuner proposes ``batch_size`` configurations, a batch
+evaluator measures them, and the results are observed in proposal order.
+:meth:`TuningCampaign.drive` is the only copy of that loop; what varies is
+the evaluator:
+
+* inline in this process (``workers=1``);
+* a :class:`multiprocessing.Pool` on this host (``workers=N``);
+* config leases served to fleet workers on any host
+  (:class:`~repro.tuners.fleet.CampaignCoordinator`).
+
+Three properties make this safe to parallelise and to interrupt:
 
 * **Picklable objectives** — instead of closures, workers receive a
   :class:`SimObjectiveSpec` (kernel uid + micro-architecture + simulator
@@ -14,12 +21,13 @@ parallelise and to interrupt:
   is seeded from ``(spec.seed, configuration index)``, so a result does not
   depend on which worker produced it or in which order: ``workers=1`` and
   ``workers=N`` campaigns produce byte-identical histories.
-* **Checkpointing** — after every ``checkpoint_every`` batches the campaign
-  persists history, tuner state and the proposal RNG state as a
-  :mod:`repro.serve` artifact (sha256-integrity checked, staged + renamed so
-  an interrupted write never corrupts the previous checkpoint), and
-  :meth:`TuningCampaign.resume` continues exactly where the campaign
-  stopped.
+* **Checkpointing** — after every batch the campaign persists history,
+  tuner state and the proposal RNG state as a :mod:`repro.serve` artifact
+  (sha256-integrity checked, staged + renamed so an interrupted write never
+  corrupts the previous checkpoint), and :meth:`TuningCampaign.resume`
+  continues exactly where the campaign stopped.  An evaluator that stops
+  mid-batch makes the loop restore the pre-ask RNG and tuner state, so the
+  campaign always rests on a batch boundary.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import multiprocessing
 import os
 import shutil
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -218,61 +226,17 @@ def run_search_session(session: SearchSession) -> SessionOutcome:
     )
 
 
-def run_search_sessions(sessions: List[SearchSession], workers: int = 1,
-                        daemon: Optional[str] = None) -> List[SessionOutcome]:
-    """Fan independent sessions out over a process pool — or a daemon.
+def run_search_sessions(sessions: List[SearchSession],
+                        workers: int = 1) -> List[SessionOutcome]:
+    """Fan independent sessions out over a local process pool.
 
     Sessions are pure functions of their description, so the outcome list —
-    aligned with ``sessions`` — is identical for every ``workers`` value
-    *and* for local-vs-daemon execution.  With ``daemon`` (a
-    :class:`~repro.serve.daemon.ServeDaemon` socket path) the sessions are
-    submitted concurrently to the running daemon, whose dispatcher batches
-    them onto its own worker pool; ``workers`` then only sizes the
-    submission concurrency.
+    aligned with ``sessions`` — is identical for every ``workers`` value.
     """
-    if daemon is not None:
-        return _run_sessions_on_daemon(sessions, daemon, workers)
     if workers <= 1 or len(sessions) <= 1:
         return [run_search_session(s) for s in sessions]
     with multiprocessing.Pool(min(int(workers), len(sessions))) as pool:
         return pool.map(run_search_session, sessions)
-
-
-def _run_sessions_on_daemon(sessions: List[SearchSession], daemon: str,
-                            workers: int) -> List[SessionOutcome]:
-    """Submit sessions over parallel connections so the daemon can batch.
-
-    The daemon sheds work beyond its bounded queue with a structured
-    ``overloaded`` error; that is backpressure, not failure, so shed
-    sessions are retried with exponential backoff until they are admitted.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.serve.client import DaemonClient, DaemonError
-
-    if not sessions:
-        return []
-    lanes = max(1, min(len(sessions), int(workers) if workers > 1 else 8))
-    clients = [DaemonClient(daemon) for _ in range(lanes)]
-
-    def run_one(item):
-        index, session = item
-        backoff = 0.05
-        while True:
-            try:
-                return clients[index % lanes].run_session(session)
-            except DaemonError as exc:
-                if not exc.overloaded:
-                    raise
-                time.sleep(backoff)
-                backoff = min(2.0, backoff * 2)
-
-    try:
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            return list(pool.map(run_one, enumerate(sessions)))
-    finally:
-        for client in clients:
-            client.close()
 
 
 # ----------------------------------------------------------------------
@@ -349,9 +313,7 @@ class TuningCampaign:
     def __init__(self, tuner: BlackBoxTuner, space: SearchSpace,
                  objective_spec: SimObjectiveSpec, workers: int = 1,
                  batch_size: Optional[int] = None,
-                 checkpoint_path: Optional[str] = None,
-                 checkpoint_every: int = 1,
-                 mp_start_method: Optional[str] = None):
+                 checkpoint_path: Optional[str] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.tuner = tuner
@@ -364,14 +326,13 @@ class TuningCampaign:
             raise ValueError("batch_size must be >= 1")
         self.checkpoint_path = (os.fspath(checkpoint_path)
                                 if checkpoint_path is not None else None)
-        self.checkpoint_every = max(1, int(checkpoint_every))
-        self.mp_start_method = mp_start_method
         self.history: List[Tuple[OMPConfig, float]] = []
         self.batches = 0
         self.wall_seconds = 0.0
         self._rng = np.random.default_rng(tuner.seed)
         self._inline_objective: Optional[SimObjective] = None
         self._checkpointed_batches = -1   # batches count at the last write
+        self._exhausted = False           # the tuner ran out of proposals
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -431,10 +392,6 @@ class TuningCampaign:
             elif key == "checkpoint_path":
                 campaign.checkpoint_path = (os.fspath(value)
                                             if value is not None else None)
-            elif key == "checkpoint_every":
-                campaign.checkpoint_every = max(1, int(value))
-            elif key == "mp_start_method":
-                campaign.mp_start_method = value
             else:
                 raise TypeError(f"cannot override {key!r} on resume")
         if campaign.checkpoint_path is None:
@@ -482,17 +439,41 @@ class TuningCampaign:
         return final
 
     # ------------------------------------------------------------------
-    def _evaluate_batch(self, batch: List[OMPConfig], pool) -> List[float]:
-        payload = [(config, self.space.index_of(config)) for config in batch]
-        if pool is None:
-            if self._inline_objective is None:
-                self._inline_objective = self.objective_spec.build()
-            objective = self._inline_objective
-            return [objective(config, key) for config, key in payload]
-        return list(pool.map(_evaluate_in_worker, payload))
-
     def run(self, max_evals: Optional[int] = None) -> TuningResult:
         """Drive the campaign to its budget (or ``max_evals`` more evals).
+
+        Evaluates inline with ``workers=1`` and over a local process pool
+        otherwise; see :meth:`drive` for the schedule.
+        """
+        if self.workers == 1 or self.finished:
+            return self.drive(self._evaluate_inline, max_evals)
+        pool = multiprocessing.Pool(self.workers, initializer=_init_worker,
+                                    initargs=(self.objective_spec,))
+        try:
+            return self.drive(
+                lambda payload: pool.map(_evaluate_in_worker, payload),
+                max_evals)
+        finally:
+            pool.close()
+            pool.join()
+
+    def _evaluate_inline(self, payload: List[Tuple[OMPConfig, int]]
+                         ) -> List[float]:
+        if self._inline_objective is None:
+            self._inline_objective = self.objective_spec.build()
+        return [self._inline_objective(config, key)
+                for config, key in payload]
+
+    def drive(self, evaluate: Callable[[List[Tuple[OMPConfig, int]]],
+                                       Optional[List[float]]],
+              max_evals: Optional[int] = None) -> TuningResult:
+        """The ask → evaluate → tell → checkpoint loop every campaign runs.
+
+        ``evaluate`` maps a batch of ``(config, space index)`` pairs to
+        their objective values in order, or returns ``None`` when it was
+        stopped before the batch completed: the loop then restores the
+        pre-ask proposal RNG and tuner state and ends, so the campaign (and
+        any checkpoint) rests on the last batch boundary.
 
         Returns the :class:`TuningResult` over everything evaluated so far.
         With ``max_evals`` the campaign stops early after that many
@@ -506,32 +487,26 @@ class TuningCampaign:
             batches_limit = self.batches + max(
                 1, -(-int(max_evals) // self.batch_size))  # ceil division
         started = time.perf_counter()
-        pool = None
-        exhausted = False
-        try:
-            if self.workers > 1 and len(self.history) < budget:
-                ctx = (multiprocessing.get_context(self.mp_start_method)
-                       if self.mp_start_method else multiprocessing)
-                pool = ctx.Pool(self.workers, initializer=_init_worker,
-                                initargs=(self.objective_spec,))
-            while len(self.history) < budget and (
-                    batches_limit is None or self.batches < batches_limit):
-                k = min(self.batch_size, budget - len(self.history))
-                batch = self.tuner.ask(self.space, self.history, self._rng, k)
-                if not batch:
-                    exhausted = True
-                    break
-                times = self._evaluate_batch(batch, pool)
-                evaluated = list(zip(batch, [float(t) for t in times]))
-                self.history.extend(evaluated)
-                self.tuner.tell(evaluated, self.history)
-                self.batches += 1
-                if self.batches % self.checkpoint_every == 0:
-                    self.checkpoint()
-        finally:
-            if pool is not None:
-                pool.close()
-                pool.join()
+        while len(self.history) < budget and (
+                batches_limit is None or self.batches < batches_limit):
+            k = min(self.batch_size, budget - len(self.history))
+            rng_state = self._rng.bit_generator.state
+            tuner_state = self.tuner.get_state()
+            batch = self.tuner.ask(self.space, self.history, self._rng, k)
+            if not batch:
+                self._exhausted = True
+                break
+            times = evaluate([(config, self.space.index_of(config))
+                              for config in batch])
+            if times is None:
+                self._rng.bit_generator.state = rng_state
+                self.tuner.set_state(tuner_state)
+                break
+            evaluated = list(zip(batch, [float(t) for t in times]))
+            self.history.extend(evaluated)
+            self.tuner.tell(evaluated, self.history)
+            self.batches += 1
+            self.checkpoint()
         self.wall_seconds += time.perf_counter() - started
         if self.batches != self._checkpointed_batches:
             self.checkpoint()
@@ -541,10 +516,12 @@ class TuningCampaign:
         result = TuningResult(best_config=best_config, best_time=best_time,
                               evaluations=len(self.history),
                               history=list(self.history))
-        if exhausted or len(self.history) >= budget:
+        if self.finished:
             self.tuner.finalize(result)
         return result
 
     @property
     def finished(self) -> bool:
-        return len(self.history) >= self.tuner.effective_budget(self.space)
+        """The budget is spent or the tuner has no proposals left."""
+        return self._exhausted or (
+            len(self.history) >= self.tuner.effective_budget(self.space))

@@ -1,12 +1,14 @@
 """Fault-tolerant elastic tuning fleets over the serve transport.
 
-:class:`CampaignCoordinator` promotes a :class:`~repro.tuners.campaign.
-TuningCampaign` from single-host multiprocessing to a coordinator/worker
-design: the coordinator owns the tuner's ask/tell loop and *serves* the
-current proposal batch as config leases over the existing JSON-line
-protocol (``AF_UNIX`` or ``tcp://`` — see :mod:`repro.serve.protocol`);
-:class:`CampaignWorker` processes connect from any host, lease a slice of
-the batch, heartbeat while evaluating, and stream results back.
+:class:`CampaignCoordinator` spreads a :class:`~repro.tuners.campaign.
+TuningCampaign` across hosts.  It runs the campaign's one loop
+(:meth:`~repro.tuners.campaign.TuningCampaign.drive`) with a batch
+evaluator that *serves* the current proposal batch as config leases over
+the existing JSON-line protocol (``AF_UNIX`` or ``tcp://`` — see
+:mod:`repro.serve.protocol`); :class:`CampaignWorker` processes connect
+from any host, lease a slice of the batch, heartbeat while evaluating, and
+stream results back.  On one host, ``TuningCampaign(workers=N)`` and its
+process pool are the simpler choice: no sockets, heartbeats or lease polls.
 
 The design keeps the campaign invariant — **histories are byte-identical
 to** ``workers=1`` — structurally rather than by luck:
@@ -18,9 +20,10 @@ to** ``workers=1`` — structurally rather than by luck:
   index)`` (per-config-seeded measurement RNGs, PR 3), so *who* evaluates
   a config — any worker, any attempt, or the coordinator itself — cannot
   change the value;
-* the proposal RNG is only advanced by ``ask`` and checkpoints are only
-  written at batch boundaries, so a killed coordinator resumes without
-  double-telling.
+* checkpoints are only written at batch boundaries, and a coordinator
+  stopped mid-batch hands the shared loop no values, so the loop restores
+  the pre-ask proposal RNG and tuner state: a stopped or killed
+  coordinator resumes without double-telling.
 
 Failure handling (qualified by ``tests/test_fleet_chaos.py`` under
 :mod:`repro.serve.faults` plans):
@@ -59,7 +62,6 @@ from repro.serve.protocol import (
     ERR_BAD_REQUEST,
     LineChannel,
     ProtocolError,
-    connect_address,
     create_listener,
     error_response,
     objective_from_wire,
@@ -107,7 +109,7 @@ class _Lease:
 
 
 class CampaignCoordinator:
-    """Serve a campaign's proposal batches as leases; own ask/tell.
+    """Serve a campaign's proposal batches as leases.
 
     Use as a context manager (or call :meth:`start`/:meth:`shutdown`), then
     drive the campaign with :meth:`run` — workers may connect at any time
@@ -180,15 +182,6 @@ class CampaignCoordinator:
     def start(self) -> "CampaignCoordinator":
         if self._running:
             raise RuntimeError("coordinator already started")
-        if self._scheme == "unix" and os.path.exists(self._location):
-            try:
-                probe = connect_address(self.address, timeout=0.25)
-            except OSError:
-                os.unlink(self._location)   # stale socket file
-            else:
-                probe.close()
-                raise RuntimeError(f"{self.address} already has a live "
-                                   f"server")
         self._listener, self.address = create_listener(self.address)
         self._running = True
         self._last_worker_contact = time.monotonic()
@@ -230,77 +223,40 @@ class CampaignCoordinator:
         self.shutdown()
 
     # ------------------------------------------------------------------
-    # the ask/tell loop (exactly TuningCampaign.run's schedule)
+    # the campaign loop, with leases as its batch evaluator
     # ------------------------------------------------------------------
     def run(self, max_evals: Optional[int] = None) -> TuningResult:
         """Drive the campaign to its budget (or ``max_evals`` more evals).
 
-        Proposal and tell order match :meth:`TuningCampaign.run` exactly;
-        checkpoints land only at batch boundaries, so a resumed campaign
-        continues the same schedule.
+        This is :meth:`TuningCampaign.drive` with the proposal batch served
+        as leases, so proposal order, tell order and checkpoints match
+        :meth:`TuningCampaign.run` exactly.
         """
         if not self._running:
             raise RuntimeError("coordinator is not started")
-        campaign = self.campaign
-        budget = campaign.tuner.effective_budget(campaign.space)
-        batches_limit = None
-        if max_evals is not None:
-            batches_limit = campaign.batches + max(
-                1, -(-int(max_evals) // campaign.batch_size))  # ceil division
-        started = time.perf_counter()
-        exhausted = False
-        while len(campaign.history) < budget and (
-                batches_limit is None or campaign.batches < batches_limit):
-            with self._lock:
-                if self._stopping:
-                    break
-            k = min(campaign.batch_size, budget - len(campaign.history))
-            pre_ask_rng = campaign._rng.bit_generator.state
-            batch = campaign.tuner.ask(campaign.space, campaign.history,
-                                       campaign._rng, k)
-            if not batch:
-                exhausted = True
-                break
-            base = len(campaign.history)
-            slots = [_Slot(base + i, campaign.space.index_of(config), config)
-                     for i, config in enumerate(batch)]
-            with self._lock:
-                self._slots = slots
-                self._slot_by_eval = {slot.eval_index: slot for slot in slots}
-                self._progress.notify_all()
-            if not self._await_batch():
-                # stopped mid-batch: discard the in-flight proposals and
-                # restore the pre-ask RNG so any final checkpoint sits on
-                # the last batch boundary
-                campaign._rng.bit_generator.state = pre_ask_rng
-                with self._lock:
-                    self._clear_batch_locked()
-                break
-            with self._lock:
-                values = [float(slot.value) for slot in self._slots]
-                self._clear_batch_locked()
-            evaluated = list(zip(batch, values))
-            campaign.history.extend(evaluated)
-            campaign.tuner.tell(evaluated, campaign.history)
-            campaign.batches += 1
-            if campaign.batches % campaign.checkpoint_every == 0:
-                campaign.checkpoint()
-        campaign.wall_seconds += time.perf_counter() - started
-        if campaign.batches != campaign._checkpointed_batches:
-            campaign.checkpoint()
-        if not campaign.history:
-            raise RuntimeError("campaign produced no evaluations")
-        best_config, best_time = min(campaign.history,
-                                     key=lambda item: item[1])
-        result = TuningResult(best_config=best_config, best_time=best_time,
-                              evaluations=len(campaign.history),
-                              history=list(campaign.history))
-        if exhausted or len(campaign.history) >= budget:
-            campaign.tuner.finalize(result)
+        result = self.campaign.drive(self._evaluate_batch, max_evals)
+        if self.campaign.finished:
             with self._lock:
                 self._done = True
                 self._progress.notify_all()
         return result
+
+    def _evaluate_batch(self, payload) -> Optional[List[float]]:
+        """Post one batch as lease slots; its values, or None if stopped."""
+        base = len(self.campaign.history)
+        slots = [_Slot(base + i, key, config)
+                 for i, (config, key) in enumerate(payload)]
+        with self._lock:
+            self._slots = slots
+            self._slot_by_eval = {slot.eval_index: slot for slot in slots}
+            self._progress.notify_all()
+        try:
+            if not self._await_batch():
+                return None
+            return [float(slot.value) for slot in slots]
+        finally:
+            with self._lock:
+                self._clear_batch_locked()
 
     def _clear_batch_locked(self) -> None:
         self._slots = []

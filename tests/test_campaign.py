@@ -143,7 +143,7 @@ class TestCheckpointResume:
         full = TuningCampaign(_make(strategy), space, spec,
                               batch_size=4).run()
         partial = TuningCampaign(_make(strategy), space, spec, batch_size=4,
-                                 checkpoint_path=ck, checkpoint_every=1)
+                                 checkpoint_path=ck)
         partial.run(max_evals=5)     # rounds up to two whole batches
         assert 0 < len(partial.history) < len(full.history)
 

@@ -76,9 +76,9 @@ def serial_history(space):
     return campaign.run().history
 
 
-def _fresh_campaign(space, **kwargs):
+def _fresh_campaign(space, strategy="random", **kwargs):
     kwargs.setdefault("batch_size", 8)
-    return TuningCampaign(make_tuner("random", budget=24, seed=0),
+    return TuningCampaign(make_tuner(strategy, budget=24, seed=0),
                           space, _spec(), **kwargs)
 
 
@@ -350,12 +350,15 @@ class TestFleetCampaign:
         assert not os.path.exists(TuningCampaign._previous_path(ck))
         assert not os.path.exists(TuningCampaign._staging_path(ck))
 
-    def test_midbatch_stop_discards_inflight_batch(self, space,
-                                                   serial_history, tmp_path):
+    @pytest.mark.parametrize("strategy", ["random", "opentuner"])
+    def test_midbatch_stop_discards_inflight_batch(self, space, tmp_path,
+                                                   strategy):
         """Stopping while a batch is outstanding must roll back to the last
-        batch boundary (proposal RNG included) so resume stays exact."""
+        batch boundary (proposal RNG and tuner state) so both a resume and
+        the stopped campaign itself continue exactly."""
+        serial = _fresh_campaign(space, strategy).run().history
         ck = str(tmp_path / "fleet-ck")
-        campaign = _fresh_campaign(space, checkpoint_path=ck)
+        campaign = _fresh_campaign(space, strategy, checkpoint_path=ck)
         with CampaignCoordinator(campaign, _socket_path(),
                                  local_fallback_s=0.05) as coordinator:
             coordinator.run(max_evals=8)       # two clean batches
@@ -375,7 +378,10 @@ class TestFleetCampaign:
             assert not runner.is_alive()
         assert done["r"].evaluations == 8      # in-flight batch discarded
         final = TuningCampaign.resume(ck)
-        assert final.run().history == serial_history
+        assert final.run().history == serial
+        # the tuner forgot the discarded proposals too (opentuner's bandit
+        # logs each proposal at ask time)
+        assert campaign2.run().history == serial
 
 
 # ----------------------------------------------------------------------

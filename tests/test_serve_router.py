@@ -81,6 +81,32 @@ class TestAddressScheme:
         finally:
             listener.close()
 
+    def test_router_binds_over_a_stale_unix_socket(self):
+        """A crashed server's leftover socket file must not block a new
+        router from binding the same path."""
+        path = _socket_path()
+        dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        dead.bind(path)                  # the file stays, nobody listens
+        dead.close()
+        router = ServeRouter(path, replicas=[("g0", _socket_path())],
+                             probe_interval=60.0).start()
+        try:
+            with DaemonClient(router.address) as client:
+                assert client.ping()
+        finally:
+            router.shutdown()
+
+    def test_listener_refuses_to_hijack_a_live_unix_socket(self):
+        path = _socket_path()
+        live, _ = create_listener(path)
+        try:
+            with pytest.raises(RuntimeError):
+                create_listener(path)
+            probe = connect_address(path, timeout=5.0)   # still served
+            probe.close()
+        finally:
+            live.close()
+
     def test_replica_spec_forms(self):
         assert parse_replica_spec("g0=tcp://h:1") == ("g0", "tcp://h:1")
         assert parse_replica_spec("g0=/tmp/a.sock") == ("g0", "/tmp/a.sock")
