@@ -2,7 +2,7 @@
 
 Runs the same random-search campaign twice: once serially in-process
 (``workers=1`` semantics) and once through
-:class:`repro.tuners.fleet.CampaignCoordinator` with subprocess workers
+:class:`repro.serve.fleet.CampaignCoordinator` with subprocess workers
 evaluating leases over the serve transport — while a **standard fault
 plan** drops, duplicates, and delays frames, stalls heartbeats, and
 SIGKILLs each worker partway through its work.  A second wave of workers
@@ -28,14 +28,13 @@ import time
 import uuid
 
 from repro.serve.faults import FaultPlan
+from repro.serve.fleet import CampaignCoordinator, run_worker
 from repro.simulator.microarch import SKYLAKE_4114
 from repro.tuners import (
-    CampaignCoordinator,
     RandomSearchTuner,
     SimObjectiveSpec,
     TuningCampaign,
     full_search_space,
-    run_worker,
 )
 
 from _harness import write_bench_json

@@ -168,9 +168,9 @@ def run(quick: bool = False) -> dict:
     n = len(labels)
     result = {
         "quick": quick,
-        # active array backend behind repro.nn.backend.xp — future
-        # cupy/torch numbers land in the same trajectory file, keyed by
-        # this field instead of a schema change
+        # active array backend behind repro.nn.backend.xp — numbers of a
+        # registered device adapter land in the same trajectory file,
+        # keyed by this field instead of a schema change
         "backend": nn_runtime.config().backend,
         "num_samples": n,
         "num_parameters": paired["num_parameters"],

@@ -7,11 +7,11 @@ construction, IR2Vec-style embeddings, a multicore/accelerator performance
 simulator with PAPI-like counters, a numpy autograd deep-learning stack
 (dense / GNN / DAE), classical ML models, baseline auto-tuners, dataset
 builders and an evaluation harness regenerating every table and figure of the
-paper.  The :mod:`repro.serve` subsystem turns trained tuners into versioned
-on-disk artifacts behind a batched inference service (model registry +
-``python -m repro.serve`` CLI), and :mod:`repro.pipeline` runs every
-figure/table as a declarative, stage-cached experiment spec
-(``python -m repro run <experiment>``).
+paper.  The :mod:`repro.serve` subsystem puts trained tuners, saved as
+versioned on-disk artifacts (:mod:`repro.core.artifacts`), behind a batched
+inference service (model registry + ``python -m repro.serve`` CLI), and
+:mod:`repro.pipeline` runs every figure/table as a declarative, stage-cached
+experiment spec (``python -m repro run <experiment>``).
 
 Typical entry points
 --------------------

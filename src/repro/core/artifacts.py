@@ -15,9 +15,13 @@ An artifact is a directory with two files:
 :class:`MGATuner` and :class:`DeviceMapper`; loading in a fresh process
 reproduces bit-identical predictions because every fitted component (weights,
 min-max and Gauss-rank scaler states, seed-embedding vectors) is persisted.
-:class:`~repro.tuners.campaign.TuningCampaign` checkpoints reuse the same
-container (kind ``tuning_campaign``) via :func:`write_artifact_dir` /
-:func:`read_artifact_dir`.
+
+Higher layers reuse the same container for their own kinds through
+:func:`write_artifact_dir` / :func:`read_artifact_dir`, and restore those
+kinds themselves: campaign checkpoints in :mod:`repro.tuners.campaign`,
+stage-cache entries in :mod:`repro.pipeline.cache` and drift baselines in
+:mod:`repro.serve.registry`.  The format name predates this module's move
+into :mod:`repro.core` and stays as it is, so existing artifacts load.
 """
 
 from __future__ import annotations
@@ -46,9 +50,6 @@ ARRAYS_FILE = "arrays.npz"
 KIND_MODEL = "mga_model"
 KIND_TUNER = "mga_tuner"
 KIND_MAPPER = "device_mapper"
-KIND_CAMPAIGN = "tuning_campaign"
-KIND_STAGE = "pipeline_stage"
-KIND_DRIFT = "drift_baseline"
 
 
 class ArtifactError(RuntimeError):
@@ -102,14 +103,6 @@ def _rebuild_extractor(config: Dict[str, Any],
     return extractor
 
 
-def _config_to_dict(config: OMPConfig) -> Dict[str, Any]:
-    return config.to_dict()
-
-
-def _config_from_dict(data: Dict[str, Any]) -> OMPConfig:
-    return OMPConfig.from_dict(data)
-
-
 # ----------------------------------------------------------------------
 # save
 # ----------------------------------------------------------------------
@@ -122,7 +115,7 @@ def _model_payload(model: MGAModel):
 def _tuner_payload(tuner: MGATuner):
     config = {
         "arch": dataclasses.asdict(tuner.arch),
-        "configs": [_config_to_dict(c) for c in tuner.configs],
+        "configs": [c.to_dict() for c in tuner.configs],
         "counter_names": tuner.counter_names,
         "modalities": dataclasses.asdict(tuner.modalities),
         "seed": tuner.seed,
@@ -159,7 +152,6 @@ def write_artifact_dir(path: Union[str, os.PathLike], kind: str,
 
     Writes straight into ``path`` (created if missing).  Callers that need
     crash consistency stage into a temp directory and rename — see
-    :meth:`repro.serve.registry.ModelRegistry.publish` and
     :meth:`repro.tuners.campaign.TuningCampaign.checkpoint`.
     """
     path = os.fspath(path)
@@ -198,10 +190,6 @@ def payload_for(obj) -> tuple:
     if isinstance(obj, MGAModel):
         config, arrays = _model_payload(obj)
         return KIND_MODEL, config, arrays
-    from repro.serve.drift import DriftBaseline
-    if isinstance(obj, DriftBaseline):
-        config, arrays = obj.to_payload()
-        return KIND_DRIFT, config, arrays
     raise TypeError(f"cannot serialise objects of type {type(obj).__name__}")
 
 
@@ -260,10 +248,18 @@ def _restore_model(config: Optional[Dict[str, Any]],
     return model.eval()
 
 
-def read_artifact_dir(path: Union[str, os.PathLike]):
-    """Low-level artifact reader: ``(manifest, arrays)``, integrity-checked."""
+def read_artifact_dir(path: Union[str, os.PathLike],
+                      kind: Optional[str] = None):
+    """Low-level artifact reader: ``(manifest, arrays)``, integrity-checked.
+
+    With ``kind``, an artifact of any other kind is an :class:`ArtifactError`
+    (raised before the array payload is read).
+    """
     path = os.fspath(path)
     manifest = read_manifest(path)
+    if kind is not None and manifest.get("kind") != kind:
+        raise ArtifactError(f"{path!r} holds a {manifest.get('kind')!r} "
+                            f"artifact, not {kind!r}")
     return manifest, _load_arrays(path, manifest)
 
 
@@ -275,28 +271,17 @@ def load_artifact(path: Union[str, os.PathLike]):
 
 def restore_payload(kind: str, config: Dict[str, Any],
                     arrays: Dict[str, np.ndarray]):
-    """Inverse of :func:`payload_for` (plus the campaign/stage kinds)."""
+    """Inverse of :func:`payload_for`."""
     if kind == KIND_MODEL:
         return _restore_model(config["model"], arrays)
-
-    if kind == KIND_CAMPAIGN:
-        from repro.tuners.campaign import restore_campaign
-        return restore_campaign(config, arrays)
-
-    if kind == KIND_STAGE:
-        from repro.pipeline.codec import decode_value
-        return decode_value(config["output"], arrays)
-
-    if kind == KIND_DRIFT:
-        from repro.serve.drift import DriftBaseline
-        return DriftBaseline.from_payload(config, arrays)
-
+    if kind not in (KIND_TUNER, KIND_MAPPER):
+        raise ArtifactError(f"unknown artifact kind {kind!r}")
     modalities = ModalityConfig(**config["modalities"])
     extractor = _rebuild_extractor(config["extractor"], arrays)
     if kind == KIND_TUNER:
         tuner = MGATuner(
             arch=MicroArch(**config["arch"]),
-            configs=[_config_from_dict(c) for c in config["configs"]],
+            configs=[OMPConfig.from_dict(c) for c in config["configs"]],
             extractor=extractor,
             modalities=modalities,
             counter_names=config["counter_names"],
@@ -305,16 +290,14 @@ def restore_payload(kind: str, config: Dict[str, Any],
         )
         tuner.model = _restore_model(config["model"], arrays)
         return tuner
-    if kind == KIND_MAPPER:
-        mapper = DeviceMapper(
-            extractor=extractor,
-            modalities=modalities,
-            seed=int(config["seed"]),
-            **config["model_kwargs"],
-        )
-        mapper.model = _restore_model(config["model"], arrays)
-        return mapper
-    raise ArtifactError(f"unknown artifact kind {kind!r}")
+    mapper = DeviceMapper(
+        extractor=extractor,
+        modalities=modalities,
+        seed=int(config["seed"]),
+        **config["model_kwargs"],
+    )
+    mapper.model = _restore_model(config["model"], arrays)
+    return mapper
 
 
 def load_artifact_as(path: Union[str, os.PathLike], cls):

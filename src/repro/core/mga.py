@@ -148,7 +148,7 @@ class MGAModel(Module):
         return self._dtype
 
     # ------------------------------------------------------------------
-    # persistence (see :mod:`repro.serve.artifacts` for the on-disk format)
+    # persistence (see :mod:`repro.core.artifacts` for the on-disk format)
     # ------------------------------------------------------------------
     def get_config(self) -> Dict:
         """JSON-serialisable constructor arguments of this model."""

@@ -7,7 +7,7 @@
   configuration (the paper's "two runs at inference" cost model).
 * :class:`DeviceMapper` — OpenCL heterogeneous device mapping (§4.2).
 
-Both tuners round-trip through the :mod:`repro.serve` subsystem
+Both tuners round-trip through :mod:`repro.core.artifacts`
 (``tuner.save(path)`` / ``MGATuner.load(path)``) so a model trained in one
 process can be published to a :class:`repro.serve.ModelRegistry` and served
 from another.
@@ -118,14 +118,14 @@ class MGATuner:
 
     # ------------------------------------------------------------------
     def save(self, path) -> None:
-        """Write a versioned on-disk artifact (see :mod:`repro.serve`)."""
-        from repro.serve.artifacts import save_artifact
+        """Write a versioned artifact (see :mod:`repro.core.artifacts`)."""
+        from repro.core.artifacts import save_artifact
         save_artifact(path, self)
 
     @classmethod
     def load(cls, path) -> "MGATuner":
         """Load a tuner saved with :meth:`save` (integrity-checked)."""
-        from repro.serve.artifacts import load_artifact_as
+        from repro.core.artifacts import load_artifact_as
         return load_artifact_as(path, cls)
 
 
@@ -193,12 +193,12 @@ class DeviceMapper:
 
     # ------------------------------------------------------------------
     def save(self, path) -> None:
-        """Write a versioned on-disk artifact (see :mod:`repro.serve`)."""
-        from repro.serve.artifacts import save_artifact
+        """Write a versioned artifact (see :mod:`repro.core.artifacts`)."""
+        from repro.core.artifacts import save_artifact
         save_artifact(path, self)
 
     @classmethod
     def load(cls, path) -> "DeviceMapper":
         """Load a mapper saved with :meth:`save` (integrity-checked)."""
-        from repro.serve.artifacts import load_artifact_as
+        from repro.core.artifacts import load_artifact_as
         return load_artifact_as(path, cls)

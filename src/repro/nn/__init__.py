@@ -4,9 +4,10 @@ Replaces PyTorch in the reproduction.  See :mod:`repro.nn.autograd` for the
 reverse-mode engine, :mod:`repro.nn.layers` for the module system and
 :mod:`repro.nn.optim` for SGD / Adam / AdamW (the paper trains with AdamW).
 Array operations route through the pluggable backend seam in
-:mod:`repro.nn.backend` (numpy reference, instrumented ``checked``,
-optional cupy/torch adapters); configure it — together with the default
-dtype — via :mod:`repro.nn.runtime`.  :func:`no_grad` scopes inference:
+:mod:`repro.nn.backend` (numpy reference, instrumented ``checked``, and any
+adapter registered with :func:`~repro.nn.backend.register_backend`);
+configure it — together with the default dtype — via
+:mod:`repro.nn.runtime`.  :func:`no_grad` scopes inference:
 forward kernels run without building a graph.
 """
 

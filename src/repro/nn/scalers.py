@@ -6,7 +6,7 @@ workgroup sizes into [0, 1] before fusion.
 
 Every scaler exposes ``get_state`` / ``set_state`` returning plain numpy
 arrays so fitted scalers can travel inside model state dicts and the
-:mod:`repro.serve.artifacts` on-disk format.
+:mod:`repro.core.artifacts` on-disk format.
 """
 
 from __future__ import annotations

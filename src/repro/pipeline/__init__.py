@@ -4,7 +4,7 @@ Every figure/table of the paper is an :class:`ExperimentSpec` — pure data
 describing typed stages (:class:`BuildDataset`, :class:`TrainModels`,
 :class:`TuneCandidates`, :class:`Report`) over experiment-level parameters.
 :func:`run_experiment` executes a spec with content-addressed stage caching
-(:class:`StageCache`, backed by :mod:`repro.serve` artifacts), fans tuning
+(:class:`StageCache`, backed by :mod:`repro.core.artifacts`), fans tuning
 stages out through :class:`~repro.tuners.campaign.TuningCampaign` sessions
 (``workers=N``), and renders the paper-style report.
 

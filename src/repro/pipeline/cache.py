@@ -1,4 +1,4 @@
-"""Content-addressed stage cache over :mod:`repro.serve` artifacts.
+"""Content-addressed stage cache over :mod:`repro.core.artifacts`.
 
 Every cacheable stage execution is identified by the SHA-256 of its
 *recipe*: stage kind + implementation name + resolved parameters + the cache
@@ -22,11 +22,19 @@ import time
 import zipfile
 from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.pipeline.codec import CodecError, encode_value
+from repro.core.artifacts import (
+    ArtifactError,
+    read_artifact_dir,
+    write_artifact_dir,
+)
+from repro.pipeline.codec import CodecError, decode_value, encode_value
 
 #: staging dirs older than this are orphans of killed runs (active writes
 #: live for seconds); swept on cache construction
 STALE_STAGING_SECONDS = 3600.0
+
+#: artifact kind of cache entries
+KIND_STAGE = "pipeline_stage"
 
 #: bump when the codec/recipe format changes incompatibly
 CACHE_FORMAT_VERSION = 1
@@ -110,9 +118,9 @@ class StageCache:
         if not os.path.isdir(path):
             self.misses += 1
             return _MISS
-        from repro.serve.artifacts import ArtifactError, load_artifact
         try:
-            output = load_artifact(path)   # KIND_STAGE decodes to the output
+            manifest, arrays = read_artifact_dir(path, kind=KIND_STAGE)
+            output = decode_value(manifest["config"]["output"], arrays)
         except (ArtifactError, CodecError, KeyError, ValueError,
                 zipfile.BadZipFile, FileNotFoundError):
             # a corrupted/incomplete entry must never be served: evict it so
@@ -128,7 +136,6 @@ class StageCache:
     def store(self, key: str, output: Any,
               metadata: Optional[Dict[str, Any]] = None) -> str:
         """Encode and persist ``output`` under ``key`` (replace-on-success)."""
-        from repro.serve.artifacts import KIND_STAGE, write_artifact_dir
         tree, arrays = encode_value(output)
         final = self.path_for(key)
         parent = os.path.dirname(final)

@@ -3,8 +3,8 @@
 Stage outputs mix plain containers with numpy arrays, configuration objects
 and whole datasets.  ``encode_value`` walks the structure and produces a
 JSON-serialisable tree plus a flat ``{key: ndarray}`` payload (stored as the
-``arrays.npz`` of a :mod:`repro.serve` artifact); ``decode_value`` inverts
-it bit-exactly:
+``arrays.npz`` of a :mod:`repro.core.artifacts` artifact); ``decode_value``
+inverts it bit-exactly:
 
 * numpy arrays are stored verbatim (dtype and bytes preserved), and arrays
   shared between several samples — kernel graphs, feature vectors — are
@@ -16,7 +16,7 @@ it bit-exactly:
   keys), tuples stay tuples;
 * :class:`OpenMPTuningDataset` / :class:`DevMapDataset` have first-class
   encodings, and trained models/tuners/mappers round-trip through the same
-  ``payload_for``/``restore_payload`` pair the serve artifacts use.
+  ``payload_for``/``restore_payload`` pair of :mod:`repro.core.artifacts`.
 """
 
 from __future__ import annotations
@@ -153,12 +153,12 @@ class _Encoder:
         if isinstance(obj, (OpenMPSample, DevMapSample)):
             raise CodecError("samples must be serialised through their "
                              "dataset")
-        # trained models / tuners / mappers reuse the serve payload format
+        # trained models / tuners / mappers reuse the artifact payload format
         from repro.core.mga import MGAModel
         from repro.core.tuner import DeviceMapper, MGATuner
         if not isinstance(obj, (MGAModel, MGATuner, DeviceMapper)):
             return None
-        from repro.serve.artifacts import payload_for
+        from repro.core.artifacts import payload_for
         kind, config, arrays = payload_for(obj)
         return {
             _KIND: "artifact",
@@ -278,7 +278,7 @@ class _Decoder:
         return dataset
 
     def _decode_artifact(self, tree):
-        from repro.serve.artifacts import restore_payload
+        from repro.core.artifacts import restore_payload
         arrays = {name: self.arrays[key] for name, key in tree["keys"]}
         obj = restore_payload(tree["artifact_kind"], tree["config"], arrays)
         self._refs[tree["id"]] = obj

@@ -1,11 +1,10 @@
 """Model persistence, registry and batched serving for trained tuners.
 
 The serving subsystem takes a trained tuner from "in-memory object" to
-"deployable artifact behind a batched service":
+"deployable artifact behind a batched service" (the artifacts themselves —
+versioned, sha256-checked save/load — live below it, in
+:mod:`repro.core.artifacts`):
 
-* :mod:`repro.serve.artifacts` — versioned save/load round trip (weights,
-  fitted scalers, modality/arch/config-space metadata) with SHA-256
-  integrity checks;
 * :mod:`repro.serve.registry` — :class:`ModelRegistry`, a named + versioned
   model store over a directory tree;
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`, the synchronous
@@ -40,19 +39,14 @@ The serving subsystem takes a trained tuner from "in-memory object" to
   (dropped/delayed/duplicated frames, stalled heartbeats, scheduled worker
   SIGKILL) consulted by the transport and the campaign fleet for chaos
   testing;
+* :mod:`repro.serve.fleet` — :class:`CampaignCoordinator` /
+  :class:`CampaignWorker`, a :class:`~repro.tuners.campaign.TuningCampaign`
+  spread over hosts as fault-tolerant config leases on the same transport;
 * ``python -m repro.serve`` — a small CLI to publish, query and serve
   models (``daemon`` / ``router`` / ``request`` / ``loadgen`` talk the
   socket protocol).
 """
 
-from repro.serve.artifacts import (
-    ArtifactError,
-    load_artifact,
-    payload_for,
-    read_manifest,
-    restore_payload,
-    save_artifact,
-)
 from repro.serve.client import DaemonClient, DaemonError
 from repro.serve.daemon import ServeDaemon
 from repro.serve.drift import DriftBaseline, DriftMonitor, baseline_for
@@ -63,8 +57,6 @@ from repro.serve.loadgen import open_loop
 from repro.serve.registry import ModelRegistry, ModelVersion
 from repro.serve.router import HashRing, ServeRouter
 from repro.serve.service import (
-    CampaignRequest,
-    CampaignResponse,
     MapRequest,
     MapResponse,
     TuneRequest,
@@ -73,12 +65,6 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "ArtifactError",
-    "save_artifact",
-    "load_artifact",
-    "payload_for",
-    "restore_payload",
-    "read_manifest",
     "ModelRegistry",
     "ModelVersion",
     "InferenceEngine",
@@ -100,6 +86,4 @@ __all__ = [
     "TuneResponse",
     "MapRequest",
     "MapResponse",
-    "CampaignRequest",
-    "CampaignResponse",
 ]

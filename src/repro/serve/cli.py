@@ -38,7 +38,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.serve.artifacts import ArtifactError
+from repro.core.artifacts import ArtifactError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -257,39 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign",
         help="run a parallel black-box search campaign on the simulator")
-    # search-defining flags default to None so the resume path can tell
-    # "explicitly passed" (an error: the checkpoint owns these) from
-    # "omitted" (CampaignRequest supplies the defaults)
-    campaign.add_argument("--kernel", default=None,
-                          help="kernel uid, e.g. polybench/gemm "
-                               "(not allowed with --resume)")
-    campaign.add_argument("--tuner", default=None,
-                          help="strategy: random/oracle/opentuner/ytopt/bliss "
-                               "(default random)")
-    campaign.add_argument("--budget", type=int, default=None,
-                          help="evaluation budget (default 20; oracle "
-                               "ignores it)")
-    campaign.add_argument("--arch", default=None,
-                          help="micro-architecture preset name "
-                               "(default skylake_4114)")
-    campaign.add_argument("--space", choices=("full", "threads"),
-                          default=None, help="(default full)")
-    campaign.add_argument("--scale", type=float, default=None)
-    campaign.add_argument("--noise", type=float, default=None)
-    campaign.add_argument("--repeats", type=int, default=None,
-                          help="simulated measurements per configuration")
-    campaign.add_argument("--seed", type=int, default=None,
-                          help="search seed (proposals)")
-    campaign.add_argument("--sim-seed", type=int, default=None,
-                          help="measurement seed (simulator noise)")
-    campaign.add_argument("--batch-size", type=int, default=None,
-                          help="proposals per ask/tell round (default 8)")
+    _add_campaign_flags(campaign)
     campaign.add_argument("--workers", type=int, default=1,
                           help="evaluation worker processes")
-    campaign.add_argument("--checkpoint", default=None,
-                          help="directory to checkpoint campaign state into")
-    campaign.add_argument("--resume", default=None,
-                          help="checkpoint directory to continue from")
 
     fleet = sub.add_parser(
         "fleet-coordinator",
@@ -303,36 +273,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--tcp", default=None, metavar="HOST:PORT",
                        help="shorthand for --listen tcp://HOST:PORT "
                             "(port 0 binds an ephemeral port)")
-    # search-defining flags: same conflict-with---resume contract as the
-    # `campaign` subcommand (the checkpoint owns the search definition)
-    fleet.add_argument("--kernel", default=None,
-                       help="kernel uid (not allowed with --resume)")
-    fleet.add_argument("--tuner", default=None,
-                       help="strategy: random/oracle/opentuner/ytopt/bliss "
-                            "(default random)")
-    fleet.add_argument("--budget", type=int, default=None,
-                       help="evaluation budget (default 20)")
-    fleet.add_argument("--arch", default=None,
-                       help="micro-architecture preset (default skylake_4114)")
-    fleet.add_argument("--space", choices=("full", "threads"), default=None)
-    fleet.add_argument("--scale", type=float, default=None)
-    fleet.add_argument("--noise", type=float, default=None)
-    fleet.add_argument("--repeats", type=int, default=None)
-    fleet.add_argument("--seed", type=int, default=None,
-                       help="search seed (proposals)")
-    fleet.add_argument("--sim-seed", type=int, default=None,
-                       help="measurement seed (simulator noise)")
-    fleet.add_argument("--batch-size", type=int, default=None,
-                       help="proposals per ask/tell round (default 8)")
+    _add_campaign_flags(fleet)
     fleet.add_argument("--walltime-scale", type=float, default=None,
                        help="make each evaluation occupy wall-clock time "
                             "proportional to the simulated execution")
     fleet.add_argument("--walltime-cap", type=float, default=None,
                        help="cap per-evaluation occupancy (seconds)")
-    fleet.add_argument("--checkpoint", default=None,
-                       help="directory to checkpoint campaign state into")
-    fleet.add_argument("--resume", default=None,
-                       help="checkpoint directory to continue from")
     fleet.add_argument("--lease-timeout", type=float, default=2.0,
                        help="seconds without a heartbeat before a lease "
                             "expires and its configs are reissued")
@@ -372,6 +318,47 @@ def _build_parser() -> argparse.ArgumentParser:
     fworker.add_argument("--fault-seed-offset", type=int, default=0,
                          help="decorrelates sibling workers' fault schedules")
     return parser
+
+
+#: flags that define a campaign's search (``fleet-coordinator`` adds the
+#: two walltime flags).  A checkpoint owns the search, so they default to
+#: None: omitted, they take the defaults of :func:`_build_campaign`;
+#: passed together with ``--resume``, they are an error.
+_SEARCH_FLAGS = ("kernel", "tuner", "budget", "arch", "space", "scale",
+                 "noise", "repeats", "seed", "sim_seed", "batch_size",
+                 "walltime_scale", "walltime_cap")
+
+
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    """The search and checkpoint flags of ``campaign``/``fleet-coordinator``."""
+    parser.add_argument("--kernel", default=None,
+                        help="kernel uid, e.g. polybench/gemm "
+                             "(not allowed with --resume)")
+    parser.add_argument("--tuner", default=None,
+                        help="strategy: random/oracle/opentuner/ytopt/bliss "
+                             "(default random)")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="evaluation budget (default 20; oracle "
+                             "ignores it)")
+    parser.add_argument("--arch", default=None,
+                        help="micro-architecture preset name "
+                             "(default skylake_4114)")
+    parser.add_argument("--space", choices=("full", "threads"),
+                        default=None, help="(default full)")
+    parser.add_argument("--scale", type=float, default=None)
+    parser.add_argument("--noise", type=float, default=None)
+    parser.add_argument("--repeats", type=int, default=None,
+                        help="simulated measurements per configuration")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="search seed (proposals)")
+    parser.add_argument("--sim-seed", type=int, default=None,
+                        help="measurement seed (simulator noise)")
+    parser.add_argument("--batch-size", type=int, default=None,
+                        help="proposals per ask/tell round (default 8)")
+    parser.add_argument("--checkpoint", default=None,
+                        help="directory to checkpoint campaign state into")
+    parser.add_argument("--resume", default=None,
+                        help="checkpoint directory to continue from")
 
 
 # ----------------------------------------------------------------------
@@ -632,33 +619,13 @@ def _cmd_shadow(args) -> int:
     return 0
 
 
-def _cmd_campaign(args) -> int:
-    from repro.serve.service import CampaignRequest, TuningService
+def _build_campaign(args, **overrides):
+    """The campaign a subcommand drives: loaded with ``--resume``, else new.
 
-    search_flags = {name: getattr(args, name) for name in
-                    ("kernel", "tuner", "budget", "arch", "space", "scale",
-                     "noise", "repeats", "seed", "sim_seed", "batch_size")}
-    if args.resume is not None:
-        conflicting = sorted(k for k, v in search_flags.items()
-                             if v is not None)
-        if conflicting:
-            raise ValueError(
-                "these flags define the search and come from the checkpoint; "
-                "they cannot be combined with --resume: "
-                + ", ".join("--" + c.replace("_", "-") for c in conflicting))
-    request = CampaignRequest(
-        workers=args.workers, checkpoint=args.checkpoint, resume=args.resume,
-        **{k: v for k, v in search_flags.items() if v is not None})
-    with TuningService() as service:
-        response = service.run_campaign(request)
-        print(json.dumps(dataclasses.asdict(response), indent=2))
-    return 0
-
-
-def _fleet_campaign(args):
-    """Build (or resume) the TuningCampaign a coordinator will serve."""
+    ``overrides`` (``workers``) are execution knobs, not search flags, so
+    they apply to resumed campaigns too.
+    """
     from repro.kernels import registry as kernel_registry
-    from repro.serve.service import CampaignRequest
     from repro.simulator.microarch import get_microarch
     from repro.tuners.campaign import (
         SimObjectiveSpec,
@@ -667,52 +634,77 @@ def _fleet_campaign(args):
     )
     from repro.tuners.space import full_search_space, thread_search_space
 
-    search_flags = {name: getattr(args, name) for name in
-                    ("kernel", "tuner", "budget", "arch", "space", "scale",
-                     "noise", "repeats", "seed", "sim_seed", "batch_size",
-                     "walltime_scale", "walltime_cap")}
+    flags = {name: getattr(args, name, None) for name in _SEARCH_FLAGS}
     if args.resume is not None:
-        conflicting = sorted(k for k, v in search_flags.items()
-                             if v is not None)
+        conflicting = sorted(k for k, v in flags.items() if v is not None)
         if conflicting:
             raise ValueError(
                 "these flags define the search and come from the checkpoint; "
                 "they cannot be combined with --resume: "
                 + ", ".join("--" + c.replace("_", "-") for c in conflicting))
         return TuningCampaign.resume(
-            args.resume, checkpoint_path=args.checkpoint or args.resume)
-    walltime = {k: search_flags.pop(k) for k in
-                ("walltime_scale", "walltime_cap")}
-    request = CampaignRequest(
-        checkpoint=args.checkpoint,
-        **{k: v for k, v in search_flags.items() if v is not None})
-    if request.kernel is None:
+            args.resume, checkpoint_path=args.checkpoint or args.resume,
+            **overrides)
+    if args.kernel is None:
         raise ValueError("--kernel is required unless resuming from a "
                          "checkpoint")
-    arch = get_microarch(request.arch)
-    kernel = kernel_registry.get_kernel(request.kernel)
-    if request.space == "threads":
+    arch = get_microarch(args.arch or "skylake_4114")
+    if args.space == "threads":
         space = thread_search_space(arch)
     else:
         space = full_search_space(max_threads=arch.max_threads)
+    objective = {name: flags[name] for name in
+                 ("scale", "noise", "repeats", "walltime_scale",
+                  "walltime_cap") if flags[name] is not None}
+    if args.sim_seed is not None:
+        objective["seed"] = args.sim_seed
     objective_spec = SimObjectiveSpec(
-        kernel_uid=kernel.uid, arch=arch, scale=request.scale,
-        noise=request.noise, seed=request.sim_seed, repeats=request.repeats,
-        **{k: v for k, v in walltime.items() if v is not None})
-    config = ({} if request.tuner == "oracle"
-              else {"budget": request.budget, "seed": request.seed})
-    tuner = make_tuner(request.tuner, config)
-    return TuningCampaign(tuner, space, objective_spec,
-                          batch_size=request.batch_size,
-                          checkpoint_path=request.checkpoint)
+        kernel_uid=kernel_registry.get_kernel(args.kernel).uid, arch=arch,
+        **objective)
+    name = args.tuner or "random"
+    config = ({} if name == "oracle" else
+              {"budget": 20 if args.budget is None else args.budget,
+               "seed": args.seed or 0})
+    return TuningCampaign(make_tuner(name, config), space, objective_spec,
+                          batch_size=args.batch_size,
+                          checkpoint_path=args.checkpoint, **overrides)
+
+
+def _cmd_campaign(args) -> int:
+    from repro.frontend.openmp import default_omp_config
+
+    campaign = _build_campaign(args, workers=args.workers)
+    result = campaign.run()
+    spec = campaign.objective_spec
+    default = default_omp_config(spec.arch.cores)
+    try:
+        key = campaign.space.index_of(default)
+    except KeyError:
+        key = len(campaign.space)
+    default_time = spec.build()(default, key)
+    print(json.dumps({
+        "kernel": spec.kernel_uid,
+        "tuner": campaign.tuner.name,
+        "arch": spec.arch.name,
+        "best_label": result.best_config.label(),
+        "best_time": result.best_time,
+        "default_time": default_time,
+        "speedup_over_default": default_time / result.best_time,
+        "evaluations": result.evaluations,
+        "batches": campaign.batches,
+        "workers": campaign.workers,
+        "wall_seconds": campaign.wall_seconds,
+        "checkpoint": campaign.checkpoint_path,
+        "finished": campaign.finished}, indent=2))
+    return 0
 
 
 def _cmd_fleet_coordinator(args) -> int:
     import time
 
-    from repro.tuners.fleet import CampaignCoordinator
+    from repro.serve.fleet import CampaignCoordinator
 
-    campaign = _fleet_campaign(args)
+    campaign = _build_campaign(args)
     fallback = None if args.local_fallback < 0 else args.local_fallback
     coordinator = CampaignCoordinator(
         campaign, _listen_address(args.listen, args.tcp, flag="--listen"),
@@ -745,7 +737,7 @@ def _cmd_fleet_coordinator(args) -> int:
 
 def _cmd_fleet_worker(args) -> int:
     from repro.serve.faults import FaultPlan
-    from repro.tuners.fleet import run_worker
+    from repro.serve.fleet import run_worker
 
     if args.faults is not None:
         plan = FaultPlan.parse(args.faults, seed=args.fault_seed)

@@ -17,7 +17,7 @@ to** ``workers=1`` — structurally rather than by luck:
   history-dependent); parallelism comes from leasing *slices* of it, and
   results are told in proposal order once the batch completes;
 * objective values are pure functions of ``(objective spec, config
-  index)`` (per-config-seeded measurement RNGs, PR 3), so *who* evaluates
+  index)`` (per-config-seeded measurement RNGs), so *who* evaluates
   a config — any worker, any attempt, or the coordinator itself — cannot
   change the value;
 * checkpoints are only written at batch boundaries, and a coordinator
@@ -58,6 +58,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.frontend.openmp import OMPConfig
 from repro.serve import faults
+from repro.serve.client import DaemonClient
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
     LineChannel,
@@ -533,8 +534,6 @@ class CampaignWorker:
         Raises :class:`ConnectionError` when the coordinator stays
         unreachable beyond the retry budget.
         """
-        from repro.serve.client import DaemonClient
-
         if self.fault_plan is not None:
             faults.install(self.fault_plan, self.fault_seed_offset)
         injector = faults.active()

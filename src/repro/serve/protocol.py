@@ -36,9 +36,9 @@ Request ops
 ``ping``      liveness probe
 ``shutdown``  drain outstanding work, stop the workers, exit
 
-A :class:`~repro.tuners.fleet.CampaignCoordinator` speaks the same framing
+A :class:`~repro.serve.fleet.CampaignCoordinator` speaks the same framing
 with its own op set (``lease`` / ``heartbeat`` / ``submit``, see
-:mod:`repro.tuners.fleet`); ``stats``/``ping``/``shutdown`` work there too.
+:mod:`repro.serve.fleet`); ``stats``/``ping``/``shutdown`` work there too.
 
 Responses are ``{"id": ..., "ok": true, "result": {...}}`` on success and
 ``{"id": ..., "ok": false, "error": {"code": ..., "message": ...}}`` on

@@ -36,20 +36,23 @@ import shutil
 import threading
 from typing import Any, Dict, List, Optional, Union
 
-from repro.serve.artifacts import (
-    KIND_DRIFT,
+from repro.core.artifacts import (
     ArtifactError,
     load_artifact,
+    read_artifact_dir,
     read_manifest,
     save_artifact,
     write_artifact_dir,
 )
+from repro.serve.drift import DriftBaseline
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _VERSION_RE = re.compile(r"^v(\d{4,})$")
 _LATEST_FILE = "LATEST"
 _GENERATION_FILE = "GENERATION"
 DRIFT_DIR = "drift_baseline"
+#: artifact kind of the drift sketch stored under ``DRIFT_DIR``
+KIND_DRIFT = "drift_baseline"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -218,7 +221,8 @@ class ModelRegistry:
         path = os.path.join(self._resolve(name, version), DRIFT_DIR)
         if not os.path.exists(os.path.join(path, "manifest.json")):
             return None
-        return load_artifact(path)
+        manifest, arrays = read_artifact_dir(path, kind=KIND_DRIFT)
+        return DriftBaseline.from_payload(manifest["config"], arrays)
 
     def info(self, name: str, version: Optional[int] = None) -> Dict[str, Any]:
         """The stored manifest of a published version (no array I/O)."""

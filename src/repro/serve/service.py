@@ -19,9 +19,6 @@ from repro.core.tuner import DeviceMapper, MGATuner
 from repro.kernels import registry as kernel_registry
 from repro.serve.engine import InferenceEngine
 from repro.serve.registry import ModelRegistry
-from repro.simulator.microarch import get_microarch
-from repro.tuners.campaign import SimObjectiveSpec, TuningCampaign, make_tuner
-from repro.tuners.space import full_search_space, thread_search_space
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,50 +50,6 @@ class TuneResponse:
     chunk_size: Optional[int]
     counters: Dict[str, float]
     latency_ms: float
-
-
-@dataclasses.dataclass(frozen=True)
-class CampaignRequest:
-    """One search-based tuning campaign over the simulator objective.
-
-    Unlike :class:`TuneRequest` (a single model inference), a campaign
-    actually *searches*: ``tuner`` names a registered black-box strategy,
-    ``workers`` sizes the evaluation pool, and ``checkpoint`` / ``resume``
-    give interrupted campaigns exact continuation semantics.
-    """
-
-    kernel: Optional[str] = None      # kernel uid, e.g. "polybench/gemm";
-                                      # optional on resume (checkpoint has it)
-    tuner: str = "random"
-    budget: int = 20
-    arch: str = "skylake_4114"
-    space: str = "full"               # "full" | "threads"
-    scale: float = 1.0
-    noise: float = 0.015
-    sim_seed: int = 1234
-    repeats: int = 1
-    seed: int = 0
-    workers: int = 1
-    batch_size: Optional[int] = None
-    checkpoint: Optional[str] = None
-    resume: Optional[str] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class CampaignResponse:
-    kernel: str
-    tuner: str
-    arch: str
-    best_label: str                   # e.g. "t8/static/c64"
-    best_time: float
-    default_time: float
-    speedup_over_default: float
-    evaluations: int
-    batches: int
-    workers: int
-    wall_seconds: float
-    checkpoint: Optional[str]
-    finished: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -171,8 +124,7 @@ class TuningService:
         self.registry = registry
         #: socket path of a running serve daemon; when set, ``tune`` and
         #: ``map_device`` are forwarded there instead of loading models
-        #: in-process (campaigns always run locally — they are compute, not
-        #: model serving)
+        #: in-process
         self.daemon = daemon
         self._daemon_local = threading.local()
         self._daemon_clients: list = []      # every client, for close()
@@ -199,7 +151,7 @@ class TuningService:
         """
         if self.registry is None:
             raise RuntimeError("service was created without a model registry "
-                               "(campaign-only mode)")
+                               "(daemon-only mode)")
         resolved = version if version is not None \
             else self.registry.latest(model)
         if resolved is None:
@@ -312,65 +264,6 @@ class TuningService:
         latency_ms = self._record(request.model, started, failed=False)
         return TuneResponse(latency_ms=latency_ms, **tune_response_fields(
             request.model, version, request.kernel, scale, config, counters))
-
-    def run_campaign(self, request: CampaignRequest) -> CampaignResponse:
-        """Run (or resume) a parallel search campaign on the simulator."""
-        started = time.perf_counter()
-        label = f"campaign:{request.tuner}"
-        try:
-            if request.resume is not None:
-                # the checkpoint is the source of truth for kernel / arch /
-                # space / simulator parameters — only execution knobs
-                # (workers, checkpoint destination) come from the request
-                campaign = TuningCampaign.resume(
-                    request.resume, workers=request.workers,
-                    checkpoint_path=request.checkpoint or request.resume)
-            else:
-                if request.kernel is None:
-                    raise ValueError("kernel is required unless resuming "
-                                     "from a checkpoint")
-                arch = get_microarch(request.arch)
-                spec_kernel = self._resolve_kernel(request.kernel)
-                if request.space == "threads":
-                    space = thread_search_space(arch)
-                elif request.space == "full":
-                    space = full_search_space(max_threads=arch.max_threads)
-                else:
-                    raise ValueError(f"unknown space {request.space!r} "
-                                     f"(expected 'full' or 'threads')")
-                objective_spec = SimObjectiveSpec(
-                    kernel_uid=spec_kernel.uid, arch=arch, scale=request.scale,
-                    noise=request.noise, seed=request.sim_seed,
-                    repeats=request.repeats)
-                config: Dict[str, Any] = {}
-                if request.tuner != "oracle":
-                    config = {"budget": request.budget, "seed": request.seed}
-                tuner = make_tuner(request.tuner, config)
-                campaign = TuningCampaign(
-                    tuner, space, objective_spec, workers=request.workers,
-                    batch_size=request.batch_size,
-                    checkpoint_path=request.checkpoint)
-            result = campaign.run()
-            from repro.frontend.openmp import default_omp_config
-            campaign_arch = campaign.objective_spec.arch
-            default = default_omp_config(campaign_arch.cores)
-            try:
-                key = campaign.space.index_of(default)
-            except KeyError:
-                key = len(campaign.space)
-            default_time = campaign.objective_spec.build()(default, key)
-        except BaseException:
-            self._record(label, started, failed=True)
-            raise
-        self._record(label, started, failed=False)
-        return CampaignResponse(
-            kernel=campaign.objective_spec.kernel_uid, tuner=campaign.tuner.name,
-            arch=campaign_arch.name, best_label=result.best_config.label(),
-            best_time=result.best_time, default_time=default_time,
-            speedup_over_default=default_time / result.best_time,
-            evaluations=result.evaluations, batches=campaign.batches,
-            workers=campaign.workers, wall_seconds=campaign.wall_seconds,
-            checkpoint=campaign.checkpoint_path, finished=campaign.finished)
 
     def map_device(self, request: MapRequest) -> MapResponse:
         """Map one kernel with a published :class:`DeviceMapper`."""

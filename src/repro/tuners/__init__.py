@@ -22,11 +22,6 @@ from repro.tuners.campaign import (
     TuningCampaign,
     make_tuner,
 )
-from repro.tuners.fleet import (
-    CampaignCoordinator,
-    CampaignWorker,
-    run_worker,
-)
 from repro.tuners.devmap_baselines import (
     DeepTuneBaseline,
     GreweBaseline,
@@ -55,7 +50,4 @@ __all__ = [
     "TUNER_CLASSES",
     "TuningCampaign",
     "make_tuner",
-    "CampaignCoordinator",
-    "CampaignWorker",
-    "run_worker",
 ]

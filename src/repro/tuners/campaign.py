@@ -10,7 +10,7 @@ the evaluator:
 * inline in this process (``workers=1``);
 * a :class:`multiprocessing.Pool` on this host (``workers=N``);
 * config leases served to fleet workers on any host
-  (:class:`~repro.tuners.fleet.CampaignCoordinator`).
+  (:class:`~repro.serve.fleet.CampaignCoordinator`).
 
 Three properties make this safe to parallelise and to interrupt:
 
@@ -22,9 +22,10 @@ Three properties make this safe to parallelise and to interrupt:
   depend on which worker produced it or in which order: ``workers=1`` and
   ``workers=N`` campaigns produce byte-identical histories.
 * **Checkpointing** — after every batch the campaign persists history,
-  tuner state and the proposal RNG state as a :mod:`repro.serve` artifact
-  (sha256-integrity checked, staged + renamed so an interrupted write never
-  corrupts the previous checkpoint), and :meth:`TuningCampaign.resume`
+  tuner state and the proposal RNG state as a :mod:`repro.core.artifacts`
+  artifact of kind ``tuning_campaign`` (sha256-integrity checked, staged +
+  renamed so an interrupted write never corrupts the previous checkpoint);
+  :func:`load_campaign` reads one back and :meth:`TuningCampaign.resume`
   continues exactly where the campaign stopped.  An evaluator that stops
   mid-batch makes the loop restore the pre-ask RNG and tuner state, so the
   campaign always rests on a batch boundary.
@@ -41,6 +42,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.artifacts import (
+    ArtifactError,
+    read_artifact_dir,
+    write_artifact_dir,
+)
 from repro.frontend.analysis import analyze_spec
 from repro.frontend.openmp import OMPConfig
 from repro.tuners.base import BlackBoxTuner, TuningResult
@@ -55,6 +61,9 @@ TUNER_CLASSES: Dict[str, type] = {
     cls.name: cls for cls in (RandomSearchTuner, ExhaustiveTuner,
                               OpenTunerLike, YtoptTuner, BLISSTuner)
 }
+
+#: Artifact kind of campaign checkpoints.
+KIND_CAMPAIGN = "tuning_campaign"
 
 #: Default proposal batch size.  A fixed constant (not ``workers``) so the
 #: proposal schedule — and therefore the history — is identical no matter
@@ -277,21 +286,20 @@ def _campaign_payload(campaign: "TuningCampaign"):
     return config, arrays
 
 
-def restore_campaign(config: Dict[str, Any], arrays: Dict[str, np.ndarray],
-                     **overrides) -> "TuningCampaign":
-    """Rebuild a campaign from a checkpoint payload (see ``load_artifact``).
+def load_campaign(path) -> "TuningCampaign":
+    """Read a campaign checkpoint directory (integrity-checked).
 
-    ``overrides`` are forwarded to the :class:`TuningCampaign` constructor —
-    ``workers`` in particular may differ from the interrupted run without
-    affecting the history (evaluations are order-independent).
+    Use :meth:`TuningCampaign.resume` to continue one: it also falls back
+    to the copy an interrupted checkpoint swap left aside.
     """
+    manifest, arrays = read_artifact_dir(path, kind=KIND_CAMPAIGN)
+    config = manifest["config"]
     spec = SimObjectiveSpec.from_config(config["objective"])
     space = SearchSpace.from_config(config["space"])
     tuner = make_tuner(config["tuner_name"], config["tuner_config"])
     tuner.set_state(config["tuner_state"])
-    kwargs = {"batch_size": int(config["batch_size"])}
-    kwargs.update(overrides)
-    campaign = TuningCampaign(tuner, space, spec, **kwargs)
+    campaign = TuningCampaign(tuner, space, spec,
+                              batch_size=int(config["batch_size"]))
     campaign._rng.bit_generator.state = config["rng_state"]
     indices = arrays["history.indices"]
     times = arrays["history.times"]
@@ -358,20 +366,16 @@ class TuningCampaign:
         half-swapped state, if any) and stale ``.previous-*`` /
         ``.staging-*`` directories are removed.
         """
-        from repro.serve.artifacts import ArtifactError, load_artifact
         path_str = os.path.abspath(os.fspath(path))
         fallback = cls._previous_path(path_str)
         loaded_fallback = False
         try:
-            campaign = load_artifact(path)
+            campaign = load_campaign(path)
         except (ArtifactError, OSError):
             if not os.path.isdir(fallback):
                 raise
-            campaign = load_artifact(fallback)
+            campaign = load_campaign(fallback)
             loaded_fallback = True
-        if not isinstance(campaign, TuningCampaign):
-            raise TypeError(f"{os.fspath(path)!r} is not a campaign "
-                            f"checkpoint")
         if loaded_fallback:
             # whatever sits at the final path failed to load: replace it
             # with the copy that did
@@ -415,7 +419,6 @@ class TuningCampaign:
         """
         if self.checkpoint_path is None:
             return None
-        from repro.serve.artifacts import KIND_CAMPAIGN, write_artifact_dir
         final = os.path.abspath(self.checkpoint_path)
         parent = os.path.dirname(final)
         os.makedirs(parent, exist_ok=True)

@@ -209,7 +209,7 @@ class TestCheckpointResume:
         assert not os.path.exists(stale_staging)
 
     def test_resume_rejects_non_campaign_artifact(self, tmp_path):
-        from repro.serve.artifacts import ArtifactError
+        from repro.core.artifacts import ArtifactError
         with pytest.raises((ArtifactError, OSError)):
             TuningCampaign.resume(os.path.join(tmp_path, "missing"))
 
@@ -257,3 +257,55 @@ class TestValidation:
 
     def test_oracle_budget_covers_space(self, space):
         assert _make("oracle").effective_budget(space) == len(space)
+
+
+class TestCampaignCLI:
+    """``python -m repro.serve campaign``: checkpoint, resume, flag conflicts."""
+
+    SEARCH = ["--kernel", "polybench/atax", "--tuner", "opentuner",
+              "--budget", "12", "--batch-size", "4", "--scale", "0.2",
+              "--arch", "comet_lake"]
+    KEYS = {"kernel", "tuner", "arch", "best_label", "best_time",
+            "default_time", "speedup_over_default", "evaluations", "batches",
+            "workers", "wall_seconds", "checkpoint", "finished"}
+
+    @staticmethod
+    def _cli(capsys, *argv):
+        import json
+
+        from repro.serve.cli import main as cli_main
+        code = cli_main(["campaign", *argv])
+        out, err = capsys.readouterr()
+        return code, (json.loads(out) if code == 0 else json.loads(err))
+
+    def test_resume_with_other_workers_matches_uninterrupted(
+            self, tmp_path, capsys, monkeypatch):
+        code, full = self._cli(capsys, *self.SEARCH, "--workers", "1")
+        assert code == 0 and set(full) == self.KEYS and full["finished"]
+
+        # interrupt the checkpointed run after its first batch
+        run = TuningCampaign.run
+        monkeypatch.setattr(TuningCampaign, "run",
+                            lambda self, max_evals=None: run(self, 4))
+        ck = os.fspath(tmp_path / "ck")
+        code, partial = self._cli(capsys, *self.SEARCH, "--checkpoint", ck)
+        monkeypatch.undo()
+        assert code == 0 and set(partial) == self.KEYS
+        assert partial["evaluations"] == 4 and not partial["finished"]
+
+        code, resumed = self._cli(capsys, "--resume", ck, "--workers", "2")
+        assert code == 0 and set(resumed) == self.KEYS
+        assert resumed["best_label"] == full["best_label"]
+        assert resumed["evaluations"] == full["evaluations"] == 12
+        assert resumed["workers"] == 2 and resumed["finished"]
+        assert resumed["checkpoint"] == ck
+
+    def test_resume_conflict_names_the_offending_flags(self, tmp_path,
+                                                       capsys):
+        code, error = self._cli(capsys, "--resume", os.fspath(tmp_path),
+                                "--kernel", "polybench/gemm",
+                                "--sim-seed", "3", "--workers", "8")
+        assert code == 1
+        assert "--kernel" in error["error"]
+        assert "--sim-seed" in error["error"]
+        assert "--workers" not in error["error"]

@@ -29,10 +29,9 @@ from repro.serve.protocol import (
     ok_response,
     validate_request,
 )
+from repro.serve.fleet import CampaignCoordinator, CampaignWorker
 from repro.simulator.microarch import COMET_LAKE_8C
 from repro.tuners import (
-    CampaignCoordinator,
-    CampaignWorker,
     SimObjectiveSpec,
     TuningCampaign,
     full_search_space,

@@ -21,15 +21,13 @@ import uuid
 import pytest
 
 from repro.serve.faults import FaultPlan
+from repro.serve.fleet import CampaignCoordinator, CampaignWorker, run_worker
 from repro.simulator.microarch import COMET_LAKE_8C
 from repro.tuners import (
-    CampaignCoordinator,
-    CampaignWorker,
     SimObjectiveSpec,
     TuningCampaign,
     full_search_space,
     make_tuner,
-    run_worker,
 )
 
 # The chaos suite's standard fault plan (ISSUE: "a standard fault plan").

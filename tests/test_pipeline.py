@@ -331,3 +331,48 @@ class TestCLI:
         StageCache(root)
         assert not stale.exists()       # orphan of a killed run: swept
         assert fresh.exists()           # recent (possibly active): kept
+
+
+_MODELLING_SCRIPT = """\
+import sys
+import numpy as np
+import repro.pipeline.cli
+from repro.core import MGATuner
+from repro.pipeline.cache import StageCache
+from repro.simulator.microarch import COMET_LAKE_8C
+from repro.tuners import (SimObjectiveSpec, TuningCampaign,
+                          thread_search_space, make_tuner)
+
+root = sys.argv[1]
+cache = StageCache(root + "/cache")
+cache.store("ab" * 32, {"x": np.arange(3)})
+assert list(cache.load("ab" * 32)["x"]) == [0, 1, 2]
+
+space = thread_search_space(COMET_LAKE_8C, threads=(1, 2, 4))
+spec = SimObjectiveSpec(kernel_uid="polybench/atax", arch=COMET_LAKE_8C,
+                        scale=0.2)
+campaign = TuningCampaign(make_tuner("random", budget=3, seed=0), space, spec,
+                          batch_size=2, checkpoint_path=root + "/ck")
+campaign.run(max_evals=2)
+assert TuningCampaign.resume(root + "/ck").run().evaluations == 3
+
+MGATuner(COMET_LAKE_8C, list(space)).save(root + "/tuner")
+assert MGATuner.load(root + "/tuner").configs == list(space)
+
+loaded = sorted(m for m in sys.modules if m.startswith("repro.serve"))
+assert not loaded, loaded
+"""
+
+
+def test_modelling_process_loads_no_serving_code(tmp_path):
+    """Caching, checkpointing and saving a tuner never import repro.serve."""
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _MODELLING_SCRIPT,
+                           os.fspath(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -119,7 +119,7 @@ class TestMGAModelRoundTrip:
 
 
 class TestCampaignCheckpointArtifacts:
-    """On-disk integrity of campaign checkpoints (repro.serve artifacts)."""
+    """On-disk integrity of campaign checkpoints (repro.core artifacts)."""
 
     @staticmethod
     def _campaign(checkpoint_path, max_evals=8):
@@ -137,13 +137,14 @@ class TestCampaignCheckpointArtifacts:
         return campaign
 
     def test_checkpoint_save_load_integrity(self, tmp_path):
-        from repro.serve.artifacts import load_artifact, read_manifest
+        from repro.core.artifacts import read_manifest
         from repro.tuners import TuningCampaign
+        from repro.tuners.campaign import load_campaign
         ck = tmp_path / "ck"
         campaign = self._campaign(ck)
         manifest = read_manifest(ck)
         assert manifest["kind"] == "tuning_campaign"
-        restored = load_artifact(ck)
+        restored = load_campaign(ck)
         assert isinstance(restored, TuningCampaign)
         assert restored.history == campaign.history
         assert restored.space.configs == campaign.space.configs
@@ -151,7 +152,8 @@ class TestCampaignCheckpointArtifacts:
         assert restored.tuner.get_config() == campaign.tuner.get_config()
 
     def test_sha256_mismatch_raises(self, tmp_path):
-        from repro.serve.artifacts import ArtifactError, load_artifact
+        from repro.core.artifacts import ArtifactError
+        from repro.tuners.campaign import load_campaign
         ck = tmp_path / "ck"
         self._campaign(ck)
         arrays = ck / "arrays.npz"
@@ -159,17 +161,17 @@ class TestCampaignCheckpointArtifacts:
         payload[-1] ^= 0xFF
         arrays.write_bytes(bytes(payload))
         with pytest.raises(ArtifactError, match="integrity"):
-            load_artifact(ck)
+            load_campaign(ck)
 
     def test_partial_write_keeps_previous_checkpoint(self, tmp_path,
                                                      monkeypatch):
         """A crash mid-save must neither corrupt the previous checkpoint nor
         leave staging litter behind."""
-        import repro.serve.artifacts as artifacts
-        from repro.serve.artifacts import load_artifact
+        import repro.core.artifacts as artifacts
+        from repro.tuners.campaign import load_campaign
         ck = tmp_path / "ck"
         campaign = self._campaign(ck)
-        before = load_artifact(ck).history
+        before = load_campaign(ck).history
 
         real_savez = np.savez
 
@@ -182,7 +184,7 @@ class TestCampaignCheckpointArtifacts:
             campaign.run(max_evals=4)
         monkeypatch.undo()
 
-        assert load_artifact(ck).history == before     # old state intact
+        assert load_campaign(ck).history == before     # old state intact
         staging = [p for p in os.listdir(tmp_path)
                    if p.startswith(".staging")]
         assert staging == []                           # temp dirs cleaned up

@@ -12,18 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeviceMapper, MGATuner
+from repro.core.artifacts import (
+    ArtifactError,
+    load_artifact,
+    read_manifest,
+    save_artifact,
+)
 from repro.datasets import DevMapDatasetBuilder
 from repro.kernels import registry as kernel_registry
 from repro.serve import (
-    ArtifactError,
     InferenceEngine,
     MapRequest,
     ModelRegistry,
     TuneRequest,
     TuningService,
-    load_artifact,
-    read_manifest,
-    save_artifact,
 )
 from repro.serve.cli import main as cli_main
 from repro.simulator.microarch import COMET_LAKE_8C, TAHITI_7970
